@@ -189,18 +189,18 @@ class UncachedReadPathSimulator(ReadPathSimulator):
 
     def measure_nominal(self, n_cells, stored_value=0):
         column = self.column_parasitics(n_cells)
-        return self.simulate_column(
+        return self.prepare_simulate_column(
             n_cells, column, label="nominal", stored_value=stored_value
-        )
+        ).run_scalar()
 
     def printed_extraction(self, n_cells, option, parameters):
         layout = self.layout_for(n_cells)
         patterned = option.apply(layout.metal1_pattern, parameters)
         return self._lpe.extract_pattern(patterned.printed)
 
-    def simulate_column(self, *args, **kwargs):
+    def prepare_simulate_column(self, *args, **kwargs):
         self._jacobian_template_cache.clear()
-        return super().simulate_column(*args, **kwargs)
+        return super().prepare_simulate_column(*args, **kwargs)
 
 
 def _scalar_loop_rows(node, doe, model):

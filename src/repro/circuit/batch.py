@@ -1,4 +1,4 @@
-"""Batched solver tier: lockstep Newton/transient over stacked work items.
+"""Batched solver driver: lockstep Newton/transient over stacked work items.
 
 The campaign hot path solves thousands of *small, same-shaped* circuits —
 butterfly sweeps and write-margin sweeps differ only in element values, not
@@ -7,41 +7,41 @@ and iterates them jointly: one vectorised MOSFET kernel call, one batched
 ``numpy.linalg.solve`` and one scatter per Newton *tick* replace N Python
 device loops and N separate solves.
 
-Parity is by construction, not by tolerance.  Every array expression below
-is the element-wise twin of the scalar solver it shadows
-(:func:`repro.circuit.dc._newton_solve`, :func:`repro.circuit.dc.dc_sweep`,
-:meth:`repro.circuit.transient.TransientSolver.run`): same operations, same
-order, same numpy ufuncs.  The decisive primitives were verified bitwise on
-the batched shapes — ``np.linalg.solve`` over a stacked batch equals the
-per-item solve, batched matmul equals the per-item matvec, and
-``np.bincount`` accumulates equal indices sequentially in emission order,
-reproducing the scalar ``+=`` sequence.  A lane therefore follows exactly
-the iterate trajectory the scalar oracle would, converges on the same tick
-with the same iteration count, and lands on the same bits.
+It is a driver, not a second solver.  The DC rescue ladder, the sweep
+continuation and the transient time loop exist once, as generators in
+:mod:`repro.circuit.dc` and :mod:`repro.circuit.transient`; the scalar
+driver there answers one generator's requests at a time, this module
+answers many generators' requests per tick.  Escalation under
+:func:`~repro.circuit.dc.solver_rescue` happens inside the generators, so
+a lane under rescue iterates in lockstep like any other.
 
-Control flow is per lane, iterations are shared.  Each DC lane runs a
-*generator* that mirrors the scalar control flow — including the full
-rescue ladder (gmin stepping, source stepping, pseudo-transient
-continuation) — statement for statement, yielding one Newton target
-``(assembler, b, x0)`` wherever the scalar code would call
-``_newton_solve`` and receiving the converged (or failed) iterate back.
-The group engine advances every active lane's current target by one
-Newton iteration per tick, so a lane deep inside a fold rescue iterates
-in the same vectorised tick as a lane cruising along its sweep — nothing
-serialises.  Robustness state stays per lane: converged lanes freeze,
-damping and step limiting are per-lane arrays, and the gmin variants a
-rescue needs are cheap :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin`
-clones.  Lanes above the dense-solver size threshold (and lanes under an
-active rescue escalation) run the scalar path outright, counted in
-``SolverStats.scalar_fallbacks``.
+* **DC lanes** yield Newton targets ``(assembler, b, x0, options)``.  The
+  group engine advances every active lane's current target by one Newton
+  iteration per tick, so a lane deep inside a fold rescue iterates in the
+  same vectorised tick as a lane cruising along its sweep.  Per-lane state
+  (damping, previous residual, iteration count, tolerances and budget,
+  which travel with each target) lives in flat arrays; the gmin variants
+  a rescue needs are cheap
+  :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` clones.  Lanes
+  above the dense-solver size threshold run on the scalar driver,
+  counted in ``SolverStats.scalar_fallbacks``.
+* **Transient lanes** yield every solution vector whose device stamp they
+  need.  The adaptive step controller makes time points lane-specific,
+  so the driver gathers all pending evaluations into one kernel call per
+  tick and keeps the linear solves on each lane's own
+  :class:`~repro.circuit.mna.CachedFactorSolver` — heterogeneous
+  topologies batch fine because only the element-wise kernel is shared.
 
-Transient lanes are driven differently: the adaptive step controller makes
-time points lane-specific, so each lane runs a generator that mirrors the
-scalar solver's control flow statement-for-statement and *yields* at every
-device-stamp evaluation.  The driver gathers all pending evaluations into
-one kernel call per tick and keeps the linear solves on each lane's own
-:class:`~repro.circuit.mna.CachedFactorSolver` — heterogeneous topologies
-batch fine because only the element-wise kernel is shared.
+Parity is by construction, not by tolerance.  Every array expression in
+the lockstep tick is the element-wise twin of :func:`~repro.circuit.dc._newton_solve`:
+same operations, same order, same numpy ufuncs.  The decisive primitives
+were verified bitwise on the batched shapes — ``np.linalg.solve`` over a
+stacked batch equals the per-item solve, batched matmul equals the
+per-item matvec, and ``np.bincount`` accumulates equal indices
+sequentially in emission order, reproducing the scalar ``+=`` sequence.
+A lane therefore follows exactly the iterate trajectory of the scalar
+driver, converges on the same tick with the same iteration count, and
+lands on the same bits.
 """
 
 from __future__ import annotations
@@ -62,16 +62,24 @@ from typing import (
 
 import numpy as np
 
-from ..obs.convergence import lane_group_label, record_convergence, record_rescue
+from ..obs.convergence import (
+    lane_group_label,
+    record_convergence,
+    record_step_rejections,
+)
 from .dc import (
     ConvergenceError,
     DCResult,
     DCSweepResult,
     NewtonOptions,
-    _source_vector_with_overrides,
+    NewtonOutcome,
+    _AssemblerCache,
+    _DCGen,
+    _gen_dc_sweep,
+    _gen_operating_point,
+    _sweep_grid,
     dc_operating_point,
     dc_sweep,
-    rescue_level,
 )
 from .mna import MNAAssembler, NonlinearStamp, solver_stats
 from .mosfet import DeviceParams, batch_operating_points
@@ -121,329 +129,20 @@ class TransientLaneSpec:
     stop_condition: Optional[StopCondition] = None
 
 
-# -- DC lane generators -----------------------------------------------------------------
-#
-# Statement-for-statement mirrors of the scalar functions in dc.py, with
-# every _newton_solve call replaced by ``yield (assembler, b, x0)`` and the
-# thread-local singular flag replaced by per-generator accumulation (the
-# engine reports per-target singular events in the result tuple).  Keep
-# them in sync with dc.py: any change to the scalar ladder must be
-# mirrored here, or batched DC analyses lose bit-parity with the scalar
-# oracle.
-
-_TargetRequest = Tuple[MNAAssembler, np.ndarray, np.ndarray]
-#: (x, iterations, converged, max_residual, saw_singular)
-_TargetResult = Tuple[np.ndarray, int, bool, float, bool]
-_DCGen = Generator[_TargetRequest, _TargetResult, Union[DCResult, DCSweepResult]]
+#: Stamp kind 0..5 selects ``(gds, gm, -(gds+gm), -gds, -gm, gds+gm)``
+#: (see :class:`~repro.circuit.mna.BatchPlan`) as a component picked by
+#: ``choose`` times an exact ±1.0 sign.  ``choose`` is pure selection and
+#: the multiply an exact IEEE negation, so the decode reproduces the
+#: scalar stamp values bit for bit.
+_STAMP_PICK = np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)
+_STAMP_SIGN = np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])
 
 
-class _AssemblerCache:
-    """Per-circuit cache of gmin variants of one base assembler.
-
-    The rescue ladders revisit a handful of gmin values; each variant is
-    a :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` of the base
-    (bitwise identical to, and ~15x cheaper than, a fresh construction),
-    built once and memoised together with its dense backend.
-    """
-
-    def __init__(self, base: MNAAssembler) -> None:
-        self.base = base
-        self._variants: Dict[float, MNAAssembler] = {base.gmin_s: base}
-
-    def get(self, gmin_s: float) -> MNAAssembler:
-        variant = self._variants.get(gmin_s)
-        if variant is None:
-            variant = self.base.clone_with_gmin(gmin_s)
-            self._variants[gmin_s] = variant
-        return variant
-
-
-def _gen_source_stepping(
-    cache: _AssemblerCache,
-    b_full: np.ndarray,
-    options: NewtonOptions,
-    gmin_s: float,
-) -> Generator[
-    _TargetRequest,
-    _TargetResult,
-    Tuple[Optional[np.ndarray], int, float, MNAAssembler, bool],
-]:
-    """Generator mirror of :func:`~repro.circuit.dc._source_stepping`."""
-    assembler = cache.get(gmin_s)
-    current = np.zeros(assembler.size)
-    total_iterations = 0
-    max_residual = float("inf")
-    saw_singular = False
-    alpha = 0.0
-    step = 0.1
-    min_step = 1.0 / 1024.0
-    while alpha < 1.0:
-        attempt = min(1.0, alpha + step)
-        candidate, iterations, converged, max_residual, singular = yield (
-            assembler,
-            attempt * b_full,
-            current,
-        )
-        saw_singular |= singular
-        total_iterations += iterations
-        if converged:
-            current = candidate
-            alpha = attempt
-            step = min(step * 2.0, 0.1)
-            continue
-        step /= 2.0
-        if step < min_step:
-            return None, total_iterations, max_residual, assembler, saw_singular
-    return current, total_iterations, max_residual, assembler, saw_singular
-
-
-def _gen_pseudo_transient(
-    cache: _AssemblerCache,
-    b_full: np.ndarray,
-    x0: np.ndarray,
-    options: NewtonOptions,
-    gmin_s: float,
-) -> Generator[
-    _TargetRequest,
-    _TargetResult,
-    Tuple[Optional[np.ndarray], int, float, MNAAssembler, bool],
-]:
-    """Generator mirror of :func:`~repro.circuit.dc._pseudo_transient`."""
-    x = x0.copy()
-    total_iterations = 0
-    max_residual = float("inf")
-    saw_singular = False
-    g_pt = 1e-2
-    for _outer in range(200):
-        assembler = cache.get(gmin_s + g_pt)
-        b_pt = b_full.copy()
-        b_pt[: assembler.n_nodes] += g_pt * x[: assembler.n_nodes]
-        solution, iterations, converged, _residual, singular = yield (
-            assembler,
-            b_pt,
-            x,
-        )
-        saw_singular |= singular
-        total_iterations += iterations
-        if not converged:
-            g_pt *= 10.0
-            if g_pt > 1e4:
-                return None, total_iterations, max_residual, assembler, saw_singular
-            continue
-        x = solution
-        g_pt *= 0.1
-        if g_pt < 1e-12:
-            assembler = cache.get(gmin_s)
-            solution, iterations, converged, max_residual, singular = yield (
-                assembler,
-                b_full,
-                x,
-            )
-            saw_singular |= singular
-            total_iterations += iterations
-            if converged:
-                return solution, total_iterations, max_residual, assembler, saw_singular
-            g_pt = 1e-4
-    return None, total_iterations, max_residual, assembler, saw_singular
-
-
-def _gen_operating_point(
-    cache: _AssemblerCache,
-    initial_voltages: Optional[Dict[str, float]],
-    options: NewtonOptions,
-    gmin_s: float,
-    source_overrides: Optional[Mapping[str, float]],
-) -> _DCGen:
-    """Generator mirror of :func:`~repro.circuit.dc.dc_operating_point`.
-
-    Covers escalation level 0 only — the batch entry points route lanes
-    under an active :func:`~repro.circuit.dc.solver_rescue` to the scalar
-    path outright.
-    """
-    saw_singular = False
-    max_residual = float("inf")
-    for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
-        if gmin_attempt != gmin_s:
-            record_rescue("batch_dc", "gmin_step")
-        assembler = cache.get(gmin_attempt)
-        b = _source_vector_with_overrides(assembler, source_overrides)
-        # (dc_operating_point re-zeroes the branch entries of x0 here;
-        # initial_solution already leaves them zero.)
-        x0 = assembler.initial_solution(initial_voltages)
-        solution, iterations, converged, max_residual, singular = yield (
-            assembler,
-            b,
-            x0,
-        )
-        saw_singular |= singular
-        if converged and gmin_attempt == gmin_s:
-            return DCResult(
-                voltages=assembler.solution_to_dict(solution),
-                iterations=iterations,
-                converged=True,
-                max_residual_a=max_residual,
-            )
-        if converged:
-            # Found a solution at elevated gmin: walk gmin back down using
-            # the converged solution as the new starting point.
-            current = solution
-            for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
-                step_assembler = cache.get(step_gmin)
-                b = _source_vector_with_overrides(step_assembler, source_overrides)
-                current, iterations, converged, max_residual, singular = yield (
-                    step_assembler,
-                    b,
-                    current,
-                )
-                saw_singular |= singular
-                if not converged:
-                    break
-            if converged:
-                return DCResult(
-                    voltages=step_assembler.solution_to_dict(current),
-                    iterations=iterations,
-                    converged=True,
-                    max_residual_a=max_residual,
-                )
-
-    assembler = cache.get(gmin_s)
-    b_full = _source_vector_with_overrides(assembler, source_overrides)
-    record_rescue("batch_dc", "source_step")
-    solution, iterations, max_residual, step_assembler, singular = yield from (
-        _gen_source_stepping(cache, b_full, options, gmin_s)
-    )
-    saw_singular |= singular
-    if solution is not None:
-        return DCResult(
-            voltages=step_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    x0 = assembler.initial_solution(initial_voltages)
-    record_rescue("batch_dc", "pseudo_transient")
-    solution, iterations, max_residual, pt_assembler, singular = yield from (
-        _gen_pseudo_transient(cache, b_full, x0, options, gmin_s)
-    )
-    saw_singular |= singular
-    if solution is not None:
-        return DCResult(
-            voltages=pt_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    singular_note = (
-        " after a singular Jacobian was encountered" if saw_singular else ""
-    )
-    raise ConvergenceError(
-        f"DC operating point did not converge{singular_note} "
-        f"(last max residual {max_residual:.3e} A)"
-    )
-
-
-def _gen_sweep_rescue(
-    cache: _AssemblerCache,
-    assembler: MNAAssembler,
-    b: np.ndarray,
-    current: np.ndarray,
-    value: float,
-    source_name: str,
-    options: NewtonOptions,
-    gmin_s: float,
-) -> Generator[_TargetRequest, _TargetResult, Tuple[np.ndarray, int]]:
-    """Generator mirror of :func:`~repro.circuit.dc._sweep_point_rescue`."""
-    node_names = assembler.node_names
-    record_rescue("batch_dc_sweep", "sweep_point")
-    solution, iterations, _residual, _asm, _singular = yield from (
-        _gen_pseudo_transient(cache, b, current, options, gmin_s)
-    )
-    if solution is None:
-        point = yield from _gen_operating_point(
-            cache,
-            initial_voltages={
-                node: float(current[assembler.index_of(node)])
-                for node in node_names
-            },
-            options=options,
-            gmin_s=gmin_s,
-            source_overrides={source_name: float(value)},
-        )
-        iterations += point.iterations
-        solution = assembler.initial_solution(
-            {node: point.voltages[node] for node in node_names}
-        )
-    return solution, iterations
-
-
-def _gen_dc_sweep(
-    cache: _AssemblerCache,
-    spec: SweepLaneSpec,
-    grid: np.ndarray,
-    options: NewtonOptions,
-) -> _DCGen:
-    """Generator mirror of :func:`~repro.circuit.dc.dc_sweep`."""
-    assembler = cache.base
-    first = yield from _gen_operating_point(
-        cache,
-        initial_voltages=spec.initial_voltages,
-        options=options,
-        gmin_s=spec.gmin_s,
-        source_overrides={spec.source_name: float(grid[0])},
-    )
-    node_names = assembler.node_names
-    iterations_total = first.iterations
-
-    current = assembler.initial_solution(
-        {node: first.voltages[node] for node in node_names}
-    )
-    # Hoisted per-point invariants (the scalar loop recomputes these per
-    # point, but they are deterministic: b0 is the t=0 source vector and
-    # the node indices never change, so copying is bitwise identical; the
-    # history is recorded as node-voltage snapshots and split per node at
-    # the end — a pure float64 passthrough).
-    b0 = assembler.source_vector(0.0)
-    branch = assembler.branch_index(spec.source_name)
-    node_pos = np.array(
-        [assembler.index_of(node) for node in node_names], dtype=np.int64
-    )
-    snapshots: List[np.ndarray] = [current[node_pos]]
-    for value in grid[1:]:
-        b = b0.copy()
-        b[branch] = float(value)
-        solution, iterations, converged, _residual, _singular = yield (
-            assembler,
-            b,
-            current,
-        )
-        iterations_total += iterations
-        if not converged:
-            solution, iterations = yield from _gen_sweep_rescue(
-                cache,
-                assembler,
-                b,
-                current,
-                float(value),
-                spec.source_name,
-                options,
-                spec.gmin_s,
-            )
-            iterations_total += iterations
-        current = solution
-        snapshots.append(current[node_pos])
-
-    stacked = np.stack(snapshots)
-    return DCSweepResult(
-        source_name=spec.source_name,
-        values=grid,
-        voltages={
-            node: np.ascontiguousarray(stacked[:, k])
-            for k, node in enumerate(node_names)
-        },
-        iterations_total=iterations_total,
-    )
+def _decode_stamps(
+    pick: np.ndarray, sign: np.ndarray, gds_e: np.ndarray, gm_e: np.ndarray
+) -> np.ndarray:
+    """Jacobian stamp values from per-entry ``gds``/``gm`` and the kind tables."""
+    return np.choose(pick, (gds_e, gm_e, gds_e + gm_e)) * sign
 
 
 # -- DC lockstep engine -----------------------------------------------------------------
@@ -452,25 +151,18 @@ def _gen_dc_sweep(
 # the active lanes' stamps in one kernel call and solves their Jacobians
 # in one batched dense solve.  Per-lane control state (damping, previous
 # residual, iteration count, singular flag) lives in flat arrays indexed
-# by lane; the generators above supply each lane's sequence of targets.
+# by lane; the generators in dc.py supply each lane's sequence of targets.
 
 
 class _DCLane:
     """One generator-driven DC lane and its captured outcome."""
 
-    __slots__ = ("index", "gen", "base", "options", "outcome")
+    __slots__ = ("index", "gen", "base", "outcome")
 
-    def __init__(
-        self,
-        index: int,
-        gen: _DCGen,
-        base: MNAAssembler,
-        options: NewtonOptions,
-    ) -> None:
+    def __init__(self, index: int, gen: _DCGen, base: MNAAssembler) -> None:
         self.index = index
         self.gen = gen
         self.base = base
-        self.options = options
         self.outcome: Optional[LaneOutcome] = None
 
 
@@ -515,18 +207,18 @@ class _DCGroup:
         self.p_k = np.stack([p.params.k_a for p in plans])
         self.p_alpha = np.stack([p.params.alpha for p in plans])
         self.p_lambda = np.stack([p.params.lambda_per_v for p in plans])
-        opts = [lane.options for lane in lanes]
-        self.abs_tol = np.array([o.abs_tolerance_a for o in opts])
-        self.rel_tol = np.array([o.rel_tolerance for o in opts])
-        self.damping0 = np.array([o.damping for o in opts])
-        self.vstep_limit = np.array([o.max_voltage_step_v for o in opts])
-        self.max_iter = np.array([o.max_iterations for o in opts], dtype=np.int64)
-
         n = len(lanes)
+        # Newton options per lane, reloaded with every target: under a
+        # rescue escalation one lane's targets carry different budgets.
+        self.abs_tol = np.zeros(n)
+        self.rel_tol = np.zeros(n)
+        self.damping0 = np.zeros(n)
+        self.vstep_limit = np.zeros(n)
+        self.max_iter = np.zeros(n, dtype=np.int64)
         self.g_stack = np.zeros((n, self.size, self.size))
         self.x = np.zeros((n, self.size))
         self.b = np.zeros((n, self.size))
-        self.damping = self.damping0.copy()
+        self.damping = np.zeros(n)
         self.prev_res = np.full(n, np.nan)
         self.iter = np.zeros(n, dtype=np.int64)
         self.singular = np.zeros(n, dtype=bool)
@@ -551,7 +243,7 @@ class _DCGroup:
 
     # -- lane transitions ---------------------------------------------------------
 
-    def _resume(self, i: int, result: Optional[_TargetResult]) -> bool:
+    def _resume(self, i: int, result: Optional[NewtonOutcome]) -> bool:
         """Advance lane ``i``'s generator; install its next Newton target.
 
         Returns ``False`` when the generator finished (result or exception
@@ -566,11 +258,16 @@ class _DCGroup:
         except Exception as exc:  # noqa: BLE001 - lane isolation by design
             lane.outcome = exc
             return False
-        assembler, b, x0 = target
+        assembler, b, x0, options = target
         self.g_stack[i] = assembler.dense_system().g_dense
         self.b[i] = b
         self.x[i] = x0
-        self.damping[i] = self.damping0[i]
+        self.abs_tol[i] = options.abs_tolerance_a
+        self.rel_tol[i] = options.rel_tolerance
+        self.damping0[i] = options.damping
+        self.vstep_limit[i] = options.max_voltage_step_v
+        self.max_iter[i] = options.max_iterations
+        self.damping[i] = options.damping
         self.prev_res[i] = np.nan
         self.iter[i] = 0
         self.singular[i] = False
@@ -579,7 +276,7 @@ class _DCGroup:
 
     def _resolve(self, i: int, converged: bool, iterations: int) -> None:
         """Report lane ``i``'s finished target back to its generator."""
-        result: _TargetResult = (
+        result: NewtonOutcome = (
             self.x[i].copy(),
             int(iterations),
             converged,
@@ -618,13 +315,8 @@ class _DCGroup:
                     self.res_pos[act] + (np.arange(na) * self.size)[:, None]
                 ).reshape(-1),
                 "stamp_dev": self.stamp_dev[act],
-                "stamp_kind": kind,
-                # Static decomposition of the stamp-kind dispatch: kind
-                # 0..5 is (±gds, ±gm, ±(gds+gm)); picking the component
-                # with choose and applying the sign by an exact ±1.0
-                # multiply reproduces the nested-where values bit for bit.
-                "stamp_pick": np.array([0, 1, 2, 0, 1, 2], dtype=np.int64)[kind],
-                "stamp_sign": np.array([1.0, 1.0, -1.0, -1.0, -1.0, 1.0])[kind],
+                "stamp_pick": _STAMP_PICK[kind],
+                "stamp_sign": _STAMP_SIGN[kind],
                 "stamp_flat": self.stamp_flat[act],
                 "p_polarity": self.p_polarity[act],
                 "p_vth": self.p_vth[act],
@@ -708,12 +400,9 @@ class _DCGroup:
         tbl = self._tables_for(act)
         rows = tbl["rows"]
         dev = tbl["stamp_dev"]
-        gds_e = gds[rows, dev]
-        gm_e = gm[rows, dev]
-        # choose is pure selection and the ±1.0 multiply is an exact IEEE
-        # negation, so this matches the former nested-where bit for bit.
-        picked = np.choose(tbl["stamp_pick"], (gds_e, gm_e, gds_e + gm_e))
-        return picked * tbl["stamp_sign"]
+        return _decode_stamps(
+            tbl["stamp_pick"], tbl["stamp_sign"], gds[rows, dev], gm[rows, dev]
+        )
 
     def _matrices(
         self, act: np.ndarray, cont: np.ndarray, stamp_values: np.ndarray
@@ -877,52 +566,58 @@ def _run_dc_lockstep(lanes: List[_DCLane]) -> None:
                 record_convergence("batch_dc", 0, False, lane_group=label)
 
 
-def batch_dc_sweep(specs: Sequence[SweepLaneSpec]) -> List[LaneOutcome]:
-    """Run many :func:`~repro.circuit.dc.dc_sweep` calls in lockstep.
+def _run_dc_lanes(
+    specs: Sequence[Union[SweepLaneSpec, OperatingPointLaneSpec]],
+    gen_for: Callable[[Any, _AssemblerCache], _DCGen],
+) -> List[LaneOutcome]:
+    """Build one generator lane per spec and run them all in lockstep.
 
-    Returns one outcome per spec, in order: a
-    :class:`~repro.circuit.dc.DCSweepResult` bitwise identical to the
-    scalar call, or the exception the scalar call would have raised.
-    Lanes above the dense-solver threshold and every lane under an active
-    rescue escalation run the scalar path directly.
+    ``gen_for(spec, cache)`` returns the lane's generator on the batched
+    telemetry labels.  Lanes above the dense-solver threshold run on the
+    scalar driver instead; a lane that fails to build captures its error.
     """
     outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
     lanes: List[_DCLane] = []
     stats = solver_stats()
     for index, spec in enumerate(specs):
         try:
-            grid = np.asarray(list(spec.values), dtype=float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise ConvergenceError("a DC sweep needs at least one source value")
-            options = spec.options if spec.options is not None else NewtonOptions()
-            assembler = MNAAssembler(spec.circuit, gmin_s=spec.gmin_s)
-            assembler.branch_index(spec.source_name)
-            if rescue_level() or not assembler.use_dense_solver:
+            cache = _AssemblerCache(MNAAssembler(spec.circuit, gmin_s=spec.gmin_s))
+            gen = gen_for(spec, cache)
+            if not cache.base.use_dense_solver:
                 stats.scalar_fallbacks += 1
-                outcomes[index] = dc_sweep(
-                    spec.circuit,
-                    spec.source_name,
-                    spec.values,
-                    initial_voltages=spec.initial_voltages,
-                    options=spec.options,
-                    gmin_s=spec.gmin_s,
-                )
+                outcomes[index] = run_lane_scalar(spec)
                 continue
-            cache = _AssemblerCache(assembler)
-            lanes.append(
-                _DCLane(
-                    index,
-                    _gen_dc_sweep(cache, spec, grid, options),
-                    assembler,
-                    options,
-                )
-            )
+            lanes.append(_DCLane(index, gen, cache.base))
         except Exception as exc:  # noqa: BLE001 - lane isolation by design
             outcomes[index] = exc
     _run_dc_lockstep(lanes)
     for lane in lanes:
         outcomes[lane.index] = lane.outcome
     return outcomes
+
+
+def _newton_options(spec: Union[SweepLaneSpec, OperatingPointLaneSpec]) -> NewtonOptions:
+    return spec.options if spec.options is not None else NewtonOptions()
+
+
+def batch_dc_sweep(specs: Sequence[SweepLaneSpec]) -> List[LaneOutcome]:
+    """Run many :func:`~repro.circuit.dc.dc_sweep` calls in lockstep.
+
+    Returns one outcome per spec, in order: a
+    :class:`~repro.circuit.dc.DCSweepResult` bitwise identical to the
+    scalar call, or the exception the scalar call would have raised.
+    """
+    return _run_dc_lanes(
+        specs,
+        lambda spec, cache: _gen_dc_sweep(
+            cache,
+            spec.source_name,
+            _sweep_grid(spec.values),
+            spec.initial_voltages,
+            _newton_options(spec),
+            kind="batch_dc",
+        ),
+    )
 
 
 def batch_dc_operating_points(
@@ -935,55 +630,21 @@ def batch_dc_operating_points(
     shared lockstep tick; results and iteration counts match the scalar
     calls exactly.
     """
-    outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
-    lanes: List[_DCLane] = []
-    stats = solver_stats()
-    for index, spec in enumerate(specs):
-        try:
-            options = spec.options if spec.options is not None else NewtonOptions()
-            assembler = MNAAssembler(spec.circuit, gmin_s=spec.gmin_s)
-            if rescue_level() or not assembler.use_dense_solver:
-                stats.scalar_fallbacks += 1
-                outcomes[index] = dc_operating_point(
-                    spec.circuit,
-                    initial_voltages=spec.initial_voltages,
-                    options=spec.options,
-                    gmin_s=spec.gmin_s,
-                    source_overrides=spec.source_overrides,
-                )
-                continue
-            cache = _AssemblerCache(assembler)
-            lanes.append(
-                _DCLane(
-                    index,
-                    _gen_operating_point(
-                        cache,
-                        spec.initial_voltages,
-                        options,
-                        spec.gmin_s,
-                        spec.source_overrides,
-                    ),
-                    assembler,
-                    options,
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 - lane isolation by design
-            outcomes[index] = exc
-    _run_dc_lockstep(lanes)
-    for lane in lanes:
-        outcomes[lane.index] = lane.outcome
-    return outcomes
+    return _run_dc_lanes(
+        specs,
+        lambda spec, cache: _gen_operating_point(
+            cache,
+            spec.initial_voltages,
+            _newton_options(spec),
+            spec.source_overrides,
+            kind="batch_dc",
+        ),
+    )
 
 
 # -- transient lockstep driver ----------------------------------------------------------
-#
-# The generator below is a statement-for-statement transformation of
-# TransientSolver.run + _newton_step with every nonlinear_stamp(x) call
-# replaced by ``yield x``.  Keep the two in sync: any change to
-# transient.py's control flow must be mirrored here, or batched transients
-# lose bit-parity with the scalar solver.
 
-_StampRequest = np.ndarray
+_TransientGen = Generator[np.ndarray, NonlinearStamp, Tuple[TransientResult, int, int]]
 
 
 def _lane_stamp(assembler: MNAAssembler,
@@ -999,172 +660,15 @@ def _lane_stamp(assembler: MNAAssembler,
     residual = np.bincount(
         plan.res_pos, weights=weights, minlength=assembler.size
     )
-    gds_e = gds[plan.stamp_dev]
-    gm_e = gm[plan.stamp_dev]
-    sum_e = gds_e + gm_e
     kind = plan.stamp_kind
-    values = np.where(
-        kind == 0,
-        gds_e,
-        np.where(
-            kind == 1,
-            gm_e,
-            np.where(
-                kind == 2,
-                -sum_e,
-                np.where(kind == 3, -gds_e, np.where(kind == 4, -gm_e, sum_e)),
-            ),
-        ),
+    values = _decode_stamps(
+        _STAMP_PICK[kind], _STAMP_SIGN[kind], gds[plan.stamp_dev], gm[plan.stamp_dev]
     )
     return NonlinearStamp(
         rows=list(plan.stamp_rows),
         cols=list(plan.stamp_cols),
         values=values,
         residual=residual,
-    )
-
-
-def _transient_lane(
-    spec: TransientLaneSpec,
-) -> Generator[_StampRequest, NonlinearStamp, TransientResult]:
-    """Generator mirror of :meth:`TransientSolver.run` (see note above)."""
-    solver = spec.solver
-    options = solver.options
-    assembler = solver.assembler
-    newton = options.newton
-    cache = solver.solver_cache
-    g_matrix = assembler.conductance_matrix
-    c_matrix = assembler.capacitance_matrix
-
-    x = assembler.initial_solution(spec.initial_voltages)
-    record_nodes = (
-        options.record_nodes if options.record_nodes is not None else assembler.node_names
-    )
-    for node in record_nodes:
-        assembler.index_of(node)
-
-    times: List[float] = [0.0]
-    history: Dict[str, List[float]] = {
-        node: [
-            float(x[assembler.index_of(node)])
-            if assembler.index_of(node) is not None
-            else 0.0
-        ]
-        for node in record_nodes
-    }
-
-    time_s = 0.0
-    dt_s = options.dt_initial_s
-    stop_reason = "tstop"
-    steps = 0
-    level = rescue_level()
-    max_steps = options.max_steps * (1 + level)
-    dt_min_s = options.dt_min_s / (10.0 ** level)
-
-    while time_s < options.t_stop_s:
-        if steps >= max_steps:
-            raise ConvergenceError(
-                f"transient exceeded {max_steps} accepted steps "
-                f"before t_stop (reached t={time_s:.3e} s of "
-                f"{options.t_stop_s:.3e} s)"
-            )
-        dt_s = min(dt_s, options.t_stop_s - time_s)
-
-        # ---- inlined _newton_step(x, time_s + dt_s, dt_s, x) ----
-        step_time_s = time_s + dt_s
-        c_dot_prev_over_dt = c_matrix.dot(x) / dt_s
-        b_now = assembler.source_vector(step_time_s)
-        if options.method == "trapezoidal":
-            c_factor = 2.0 / dt_s
-            b_prev = assembler.source_vector(step_time_s - dt_s)
-            stamp_prev = yield x
-            history_term = (
-                c_dot_prev_over_dt * 2.0
-                - g_matrix.dot(x)
-                - stamp_prev.residual
-                + b_prev
-            )
-            rhs_const = b_now + history_term
-        else:
-            c_factor = 1.0 / dt_s
-            rhs_const = b_now + c_dot_prev_over_dt
-        static = cache.static_matrix(c_factor)
-
-        solution: Optional[np.ndarray] = None
-        x_iter = x.copy()
-        for _iteration in range(newton.max_iterations):
-            stamp = yield x_iter
-            residual = static.dot(x_iter) + stamp.residual - rhs_const
-            max_residual = (
-                float(np.max(np.abs(residual))) if residual.size else 0.0
-            )
-            if max_residual < newton.abs_tolerance_a:
-                solution = x_iter
-                break
-            try:
-                delta = cache.solve(c_factor, stamp, -residual)
-            except RuntimeError:
-                solver._singular_seen = True
-                solution = None
-                break
-            delta = np.asarray(delta).ravel()
-            if not np.all(np.isfinite(delta)):
-                solution = None
-                break
-            node_delta = delta[: assembler.n_nodes]
-            max_step = (
-                float(np.max(np.abs(node_delta))) if node_delta.size else 0.0
-            )
-            scale = 1.0
-            if max_step > newton.max_voltage_step_v > 0.0:
-                scale = newton.max_voltage_step_v / max_step
-            x_iter = x_iter + scale * delta
-        else:
-            # Budget exhausted: one last residual check with the final iterate.
-            stamp = yield x_iter
-            residual = static.dot(x_iter) + stamp.residual - rhs_const
-            if float(np.max(np.abs(residual))) < newton.abs_tolerance_a * 100.0:
-                solution = x_iter
-        # ---- end _newton_step ----
-
-        if solution is None:
-            dt_s *= options.dt_shrink
-            if dt_s < dt_min_s:
-                singular_note = (
-                    " after a singular Jacobian was encountered"
-                    if solver._singular_seen
-                    else ""
-                )
-                raise ConvergenceError(
-                    f"transient step at t={time_s:.3e} s failed below the "
-                    f"minimum step size ({dt_min_s:.1e} s){singular_note}"
-                )
-            continue
-
-        steps += 1
-        time_s += dt_s
-        x = solution
-        times.append(time_s)
-        voltages_now: Dict[str, float] = {}
-        for node in record_nodes:
-            index = assembler.index_of(node)
-            value = 0.0 if index is None else float(x[index])
-            history[node].append(value)
-            voltages_now[node] = value
-
-        if spec.stop_condition is not None and spec.stop_condition(
-            time_s, voltages_now
-        ):
-            stop_reason = "stop-condition"
-            break
-
-        dt_s = min(dt_s * options.dt_growth, options.dt_max_s)
-
-    return TransientResult(
-        times_s=np.asarray(times),
-        voltages={node: np.asarray(values) for node, values in history.items()},
-        converged=True,
-        stop_reason=stop_reason,
     )
 
 
@@ -1179,18 +683,31 @@ def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome
     :meth:`TransientSolver.run` calls.
     """
     outcomes: List[Optional[LaneOutcome]] = [None] * len(specs)
-    gens: Dict[int, Generator[_StampRequest, NonlinearStamp, TransientResult]] = {}
+    steps = [0] * len(specs)
+    rejections = 0
+    gens: Dict[int, _TransientGen] = {}
     pending: Dict[int, np.ndarray] = {}
     stats = solver_stats()
-    for index, spec in enumerate(specs):
-        gen = _transient_lane(spec)
+
+    def advance(i: int, gen: _TransientGen, stamp: Optional[NonlinearStamp]) -> None:
+        nonlocal rejections
         try:
-            pending[index] = gen.send(None)
-            gens[index] = gen
+            pending[i] = gen.send(stamp)
+            gens[i] = gen
+            return
         except StopIteration as done:
-            outcomes[index] = done.value
+            outcomes[i], steps[i], lane_rejections = done.value
+            rejections += lane_rejections
         except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
-            outcomes[index] = exc
+            outcomes[i] = exc
+        gens.pop(i, None)
+
+    for index, spec in enumerate(specs):
+        advance(
+            index,
+            spec.solver._time_loop(spec.initial_voltages, spec.stop_condition),
+            None,
+        )
 
     stats.batch_lanes += len(gens)
     while pending:
@@ -1227,24 +744,12 @@ def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome
             stamp = _lane_stamp(
                 specs[i].solver.assembler, ids[lo:hi], gm[lo:hi], gds[lo:hi]
             )
-            gen = gens[i]
-            try:
-                pending[i] = gen.send(stamp)
-            except StopIteration as done:
-                outcomes[i] = done.value
-                del gens[i]
-            except (ConvergenceError, RuntimeError, np.linalg.LinAlgError) as exc:
-                outcomes[i] = exc
-                del gens[i]
+            advance(i, gens[i], stamp)
     label = lane_group_label(len(specs))
-    for outcome in outcomes:
+    record_step_rejections("batch_transient", rejections)
+    for outcome, lane_steps in zip(outcomes, steps):
         if isinstance(outcome, TransientResult):
-            record_convergence(
-                "batch_transient",
-                max(0, len(outcome.times_s) - 1),
-                True,
-                lane_group=label,
-            )
+            record_convergence("batch_transient", lane_steps, True, lane_group=label)
         elif isinstance(outcome, BaseException):
             record_convergence("batch_transient", 0, False, lane_group=label)
     return outcomes
@@ -1255,10 +760,9 @@ def batch_run_transients(specs: Sequence[TransientLaneSpec]) -> List[LaneOutcome
 # The measurement layers (read/write columns, butterfly margins, the
 # operation registry) split each measurement into *prepare* — build the
 # circuits and lane specs — and *finish* — turn solved lanes back into a
-# measurement.  The scalar entry points run prepare → run_lane_scalar →
-# finish, the campaign's batched tier runs prepare for a whole chunk and
-# solves every lane of every item in shared batches; both feed the same
-# finish, so the two tiers share one code path end to end.
+# measurement.  A measurement is prepare → solve on a driver → finish:
+# :meth:`PreparedWork.run_scalar` solves one item's lanes on the scalar
+# driver, :func:`solve_prepared` solves many items on either driver.
 
 #: Any lane spec a :class:`PreparedWork` may carry.
 LaneSpec = Union[SweepLaneSpec, OperatingPointLaneSpec, TransientLaneSpec]
@@ -1289,7 +793,7 @@ class PreparedWork:
 
 
 def run_lane_scalar(lane: LaneSpec) -> Union[DCResult, DCSweepResult, TransientResult]:
-    """Solve one lane spec through the scalar solver it shadows."""
+    """Solve one lane spec on the scalar driver."""
     if isinstance(lane, SweepLaneSpec):
         return dc_sweep(
             lane.circuit,
@@ -1313,18 +817,25 @@ def run_lane_scalar(lane: LaneSpec) -> Union[DCResult, DCSweepResult, TransientR
     )
 
 
-def solve_prepared(items: Sequence[PreparedWork]) -> List[Any]:
-    """Solve many prepared measurements with their lanes batched jointly.
+def solve_prepared(
+    items: Sequence[PreparedWork], driver: str = "batched"
+) -> List[Any]:
+    """Solve many prepared measurements on one driver.
 
-    All sweep lanes across all items go into one :func:`batch_dc_sweep`
-    call (likewise operating points and transients), so same-topology
-    work from *different* items stacks into shared lockstep groups — the
-    batching is global over the chunk, not per measurement.
+    The ``"batched"`` driver puts all sweep lanes across all items into
+    one :func:`batch_dc_sweep` call (likewise operating points and
+    transients), so same-topology work from *different* items stacks into
+    shared lockstep groups — the batching is global over the call, not
+    per measurement.  The ``"scalar"`` driver solves item by item.
 
     Returns one entry per item: the ``finish`` value, or the exception
     that item hit (its first failed lane, or what ``finish`` raised).
     Items never poison each other.
     """
+    if driver == "scalar":
+        return [_isolated(item.run_scalar) for item in items]
+    if driver != "batched":
+        raise ValueError(f"unknown solver driver {driver!r}")
     sweep_refs: List[Tuple[int, int]] = []
     op_refs: List[Tuple[int, int]] = []
     transient_refs: List[Tuple[int, int]] = []
@@ -1360,8 +871,13 @@ def solve_prepared(items: Sequence[PreparedWork]) -> List[Any]:
         if failed is not None:
             results.append(failed)
             continue
-        try:
-            results.append(item.finish(outcomes))
-        except Exception as exc:  # noqa: BLE001 - item isolation by design
-            results.append(exc)
+        results.append(_isolated(lambda: item.finish(outcomes)))
     return results
+
+
+def _isolated(call: Callable[[], Any]) -> Any:
+    """``call()``, or the exception it raised (item isolation by design)."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - item isolation by design
+        return exc

@@ -4,7 +4,7 @@ Newton-Raphson on the static MNA system
 
     F(x) = G·x + I_nl(x) − b = 0
 
-with a damped update and two continuation fallbacks for stubborn circuits:
+with a damped update and a robustness ladder for stubborn circuits:
 
 * **gmin stepping** — a large gmin makes the system nearly linear; it is
   then reduced in decades while re-converging (the standard SPICE
@@ -13,20 +13,44 @@ with a damped update and two continuation fallbacks for stubborn circuits:
   its full value, re-converging at each step from the previous solution.
   This is what rescues bistable circuits (the cross-coupled SRAM cell)
   started from a flat 0 V guess, where plain Newton and gmin stepping can
-  both stall on the unstable ridge between the two states.
+  both stall on the unstable ridge between the two states;
+* **pseudo-transient continuation** — the last resort, which follows the
+  circuit dynamics across fold points onto the surviving branch.
 
 :func:`dc_sweep` builds on the same machinery: it sweeps the DC value of
 one voltage source across a grid, warm-starting every point from the
 previous solution.  That continuation is what the SRAM noise-margin
 butterfly curves are traced with.
+
+One control flow, two drivers.  Each analysis is written once, as a
+generator that yields a Newton target ``(assembler, b, x0, options)``
+wherever it needs a solve and receives ``(x, iterations, converged,
+max_residual, singular)`` back.  The ladder, the sweep continuation and
+the item-retry escalation (:func:`solver_rescue`) live only in those
+generators.  :func:`dc_operating_point` and :func:`dc_sweep` are the
+scalar driver: they run one generator and answer each target with
+:func:`_newton_solve`.  :mod:`repro.circuit.batch` is the other driver:
+it runs many generators in lockstep and answers every pending target in
+one vectorised Newton tick.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -57,7 +81,6 @@ class ConvergenceError(RuntimeError):
 # intermediate layer would otherwise have to forward it.
 
 _rescue_state = threading.local()
-_singular_state = threading.local()
 
 
 def rescue_level() -> int:
@@ -102,10 +125,6 @@ def _perturbed_initial_voltages(
     }
 
 
-def _saw_singular() -> bool:
-    return getattr(_singular_state, "seen", False)
-
-
 @dataclass
 class DCResult:
     """Result of a DC operating-point analysis."""
@@ -133,19 +152,27 @@ class NewtonOptions:
     max_voltage_step_v: float = 0.3
 
 
+#: One Newton solve a DC generator asks its driver for.
+NewtonTarget = Tuple[MNAAssembler, np.ndarray, np.ndarray, NewtonOptions]
+#: The driver's answer: ``(x, iterations, converged, max_residual, singular)``.
+NewtonOutcome = Tuple[np.ndarray, int, bool, float, bool]
+_DCGen = Generator[NewtonTarget, NewtonOutcome, Any]
+
+
 def _newton_solve(
     assembler: MNAAssembler,
     b: np.ndarray,
     x0: np.ndarray,
     options: NewtonOptions,
-) -> tuple[np.ndarray, int, bool, float]:
+) -> NewtonOutcome:
     """Newton iteration on ``G x + I_nl(x) = b`` starting from ``x0``.
 
     The linear solves go through the dense backend for small systems
     (bitwise-shared with the batched solver tier) and through a
     :class:`CachedFactorSolver` above the dense threshold, where the LU
     factorisation of ``G`` is reused whenever the device stamps are
-    unchanged.
+    unchanged.  The last element of the result reports an exactly
+    singular Jacobian, which is what failure classification keys on.
     """
     dense = assembler.dense_system() if assembler.use_dense_solver else None
     solver = None if dense is not None else CachedFactorSolver(assembler)
@@ -173,7 +200,7 @@ def _newton_solve(
         if max_residual < options.abs_tolerance_a:
             if recorder is not None:
                 recorder.record("dc", residual_log, True)
-            return x, iteration, True, max_residual
+            return x, iteration, True, max_residual, False
         if previous_residual is not None:
             if max_residual >= previous_residual:
                 damping = max(damping * 0.5, options.damping / 256.0)
@@ -188,13 +215,10 @@ def _newton_solve(
         except (RuntimeError, np.linalg.LinAlgError):
             # Exactly singular Jacobian at this gmin: report non-convergence
             # so the caller's gmin-stepping fallback can regularise and retry
-            # instead of aborting the whole operating-point search.  The
-            # thread-local flag lets the final ConvergenceError say so,
-            # which is what failure classification keys on.
-            _singular_state.seen = True
+            # instead of aborting the whole operating-point search.
             if recorder is not None:
                 recorder.record("dc", residual_log, False)
-            return x, iteration, False, max_residual
+            return x, iteration, False, max_residual, True
         delta = np.asarray(delta).ravel()
         # Limit the per-iteration voltage step for robustness.
         node_delta = delta[: assembler.n_nodes]
@@ -213,10 +237,30 @@ def _newton_solve(
             if max_residual < options.abs_tolerance_a * 10.0:
                 if recorder is not None:
                     recorder.record("dc", residual_log, True)
-                return x, iteration, True, max_residual
+                return x, iteration, True, max_residual, False
     if recorder is not None:
         recorder.record("dc", residual_log, False)
-    return x, options.max_iterations, False, max_residual
+    return x, options.max_iterations, False, max_residual, False
+
+
+def _drive(gen: Generator[Any, Any, Any], answer: Callable[..., Any]) -> Any:
+    """Run a solver generator to completion, answering every request.
+
+    This is the scalar driver of both analysis families: DC generators
+    are answered with :func:`_solve_target`, transient time loops with
+    the assembler's device stamp.
+    """
+    reply = None
+    while True:
+        try:
+            request = gen.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = answer(request)
+
+
+def _solve_target(target: NewtonTarget) -> NewtonOutcome:
+    return _newton_solve(*target)
 
 
 def _source_vector_with_overrides(
@@ -237,12 +281,37 @@ def _source_vector_with_overrides(
     return b
 
 
-def _source_stepping(
-    circuit: Circuit,
+class _AssemblerCache:
+    """Per-circuit cache of gmin variants of one base assembler.
+
+    The rescue ladders revisit a handful of gmin values; each variant is
+    a :meth:`~repro.circuit.mna.MNAAssembler.clone_with_gmin` of the base
+    (bitwise identical to, and ~15x cheaper than, a fresh construction),
+    built once and memoised together with its dense backend.
+    """
+
+    def __init__(self, base: MNAAssembler) -> None:
+        self.base = base
+        self._variants: Dict[float, MNAAssembler] = {base.gmin_s: base}
+
+    def get(self, gmin_s: float) -> MNAAssembler:
+        variant = self._variants.get(gmin_s)
+        if variant is None:
+            variant = self.base.clone_with_gmin(gmin_s)
+            self._variants[gmin_s] = variant
+        return variant
+
+
+#: What a ladder stage returns: ``(solution or None, iterations,
+#: max_residual, saw_singular)``.
+_StageResult = Tuple[Optional[np.ndarray], int, float, bool]
+
+
+def _gen_source_stepping(
+    cache: _AssemblerCache,
     b_full: np.ndarray,
     options: NewtonOptions,
-    gmin_s: float,
-) -> tuple[Optional[np.ndarray], int, float, Optional[MNAAssembler]]:
+) -> Generator[NewtonTarget, NewtonOutcome, _StageResult]:
     """Ramp every independent source from zero to full value (continuation).
 
     Starts from the all-off state (``x = 0`` solves the system exactly at
@@ -253,22 +322,21 @@ def _source_stepping(
     that fails is retried with the increment halved (up to a bounded
     number of refinements), which lets the ramp creep past fold points
     where a coarse step would jump over the surviving solution branch.
-
-    Returns ``(solution, iterations, max_residual, assembler)`` with
-    ``solution=None`` when even the refined ramp fails.
     """
-    assembler = MNAAssembler(circuit, gmin_s=gmin_s)
+    assembler = cache.base
     current = np.zeros(assembler.size)
     total_iterations = 0
     max_residual = float("inf")
+    saw_singular = False
     alpha = 0.0
     step = 0.1
     min_step = 1.0 / 1024.0
     while alpha < 1.0:
         attempt = min(1.0, alpha + step)
-        candidate, iterations, converged, max_residual = _newton_solve(
+        candidate, iterations, converged, max_residual, singular = yield (
             assembler, attempt * b_full, current, options
         )
+        saw_singular |= singular
         total_iterations += iterations
         if converged:
             current = candidate
@@ -277,17 +345,16 @@ def _source_stepping(
             continue
         step /= 2.0
         if step < min_step:
-            return None, total_iterations, max_residual, assembler
-    return current, total_iterations, max_residual, assembler
+            return None, total_iterations, max_residual, saw_singular
+    return current, total_iterations, max_residual, saw_singular
 
 
-def _pseudo_transient(
-    circuit: Circuit,
+def _gen_pseudo_transient(
+    cache: _AssemblerCache,
     b_full: np.ndarray,
     x0: np.ndarray,
     options: NewtonOptions,
-    gmin_s: float,
-) -> tuple[Optional[np.ndarray], int, float, Optional[MNAAssembler]]:
+) -> Generator[NewtonTarget, NewtonOutcome, _StageResult]:
     """Pseudo-transient continuation: anchor Newton to the previous iterate.
 
     Each level solves ``F(x) + g_pt·(x − x_anchor) = 0`` — the backward-
@@ -298,40 +365,133 @@ def _pseudo_transient(
     bistable circuit ceases to exist) onto the surviving branch instead of
     diverging.  The final level solves the original system exactly.
     """
+    gmin_s = cache.base.gmin_s
     x = x0.copy()
     total_iterations = 0
     max_residual = float("inf")
+    saw_singular = False
     g_pt = 1e-2
     for _outer in range(200):
-        assembler = MNAAssembler(circuit, gmin_s=gmin_s + g_pt)
+        assembler = cache.get(gmin_s + g_pt)
         b_pt = b_full.copy()
         b_pt[: assembler.n_nodes] += g_pt * x[: assembler.n_nodes]
-        solution, iterations, converged, _residual = _newton_solve(
+        solution, iterations, converged, _residual, singular = yield (
             assembler, b_pt, x, options
         )
+        saw_singular |= singular
         total_iterations += iterations
         if not converged:
             # Pseudo-step too large (too small an anchor): tighten it.
             g_pt *= 10.0
             if g_pt > 1e4:
-                return None, total_iterations, max_residual, assembler
+                return None, total_iterations, max_residual, saw_singular
             continue
         x = solution
         # Switched evolution/relaxation: grow the pseudo-step as long as
         # the anchored solves succeed, then finish with the exact system.
         g_pt *= 0.1
         if g_pt < 1e-12:
-            assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-            solution, iterations, converged, max_residual = _newton_solve(
-                assembler, b_full, x, options
+            solution, iterations, converged, max_residual, singular = yield (
+                cache.base, b_full, x, options
             )
+            saw_singular |= singular
             total_iterations += iterations
             if converged:
-                return solution, total_iterations, max_residual, assembler
+                return solution, total_iterations, max_residual, saw_singular
             # The exact solve still bounced: keep evolving from here with
             # a fresh, tighter pseudo-step.
             g_pt = 1e-4
-    return None, total_iterations, max_residual, assembler
+    return None, total_iterations, max_residual, saw_singular
+
+
+def _gen_operating_point(
+    cache: _AssemblerCache,
+    initial_voltages: Optional[Dict[str, float]],
+    options: NewtonOptions,
+    source_overrides: Optional[Mapping[str, float]],
+    kind: str,
+) -> Generator[NewtonTarget, NewtonOutcome, DCResult]:
+    """The operating-point ladder: Newton, gmin stepping, source stepping,
+    pseudo-transient continuation.  ``kind`` labels the rescue telemetry
+    (``"dc"`` on the scalar driver, ``"batch_dc"`` on the batched one).
+    """
+    level = rescue_level()
+    if level:
+        options = replace(options, max_iterations=options.max_iterations * (1 + level))
+        initial_voltages = _perturbed_initial_voltages(initial_voltages)
+    base = cache.base
+    gmin_s = base.gmin_s
+    # Neither depends on gmin; initial_solution leaves the voltage-source
+    # branch entries at zero, so the first iteration does not start from a
+    # wildly inconsistent branch current.
+    b = _source_vector_with_overrides(base, source_overrides)
+    x0 = base.initial_solution(initial_voltages)
+    saw_singular = False
+
+    for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
+        if gmin_attempt != gmin_s:
+            record_rescue(kind, "gmin_step")
+        solution, iterations, converged, max_residual, singular = yield (
+            cache.get(gmin_attempt), b, x0, options
+        )
+        saw_singular |= singular
+        if converged and gmin_attempt == gmin_s:
+            return DCResult(
+                voltages=base.solution_to_dict(solution),
+                iterations=iterations,
+                converged=True,
+                max_residual_a=max_residual,
+            )
+        if converged:
+            # Found a solution at elevated gmin: walk gmin back down using the
+            # converged solution as the new starting point.
+            current = solution
+            for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
+                current, iterations, converged, max_residual, singular = yield (
+                    cache.get(step_gmin), b, current, options
+                )
+                saw_singular |= singular
+                if not converged:
+                    break
+            if converged:
+                return DCResult(
+                    voltages=base.solution_to_dict(current),
+                    iterations=iterations,
+                    converged=True,
+                    max_residual_a=max_residual,
+                )
+
+    # Fallback: source stepping at the baseline gmin.  The ramp tracks a
+    # physical turn-on trajectory, so bistable circuits land in a consistent
+    # state instead of oscillating around the unstable ridge.
+    record_rescue(kind, "source_step")
+    solution, iterations, max_residual, singular = yield from _gen_source_stepping(
+        cache, b, options
+    )
+    saw_singular |= singular
+    if solution is None:
+        # Last resort: pseudo-transient continuation from the caller's guess
+        # (needed when the guessed state has ceased to exist — e.g. just past
+        # the fold of a bistable cell — and Newton must cross onto the
+        # surviving branch).
+        record_rescue(kind, "pseudo_transient")
+        solution, iterations, max_residual, singular = yield from (
+            _gen_pseudo_transient(cache, b, x0, options)
+        )
+        saw_singular |= singular
+    if solution is not None:
+        return DCResult(
+            voltages=base.solution_to_dict(solution),
+            iterations=iterations,
+            converged=True,
+            max_residual_a=max_residual,
+        )
+
+    singular_note = " after a singular Jacobian was encountered" if saw_singular else ""
+    raise ConvergenceError(
+        f"DC operating point did not converge{singular_note} "
+        f"(last max residual {max_residual:.3e} A)"
+    )
 
 
 def dc_operating_point(
@@ -361,114 +521,21 @@ def dc_operating_point(
         the sources' own waveform values (used by :func:`dc_sweep`).
     """
     with span("solver.dc") as dc_span:
+        gen = _gen_operating_point(
+            _AssemblerCache(MNAAssembler(circuit, gmin_s=gmin_s)),
+            initial_voltages,
+            options if options is not None else NewtonOptions(),
+            source_overrides,
+            kind="dc",
+        )
         try:
-            result = _dc_operating_point(
-                circuit, initial_voltages, options, gmin_s, source_overrides
-            )
+            result = _drive(gen, _solve_target)
         except ConvergenceError:
             record_convergence("dc", 0, False)
             raise
         dc_span.annotate(iterations=result.iterations, converged=result.converged)
         record_convergence("dc", result.iterations, result.converged)
         return result
-
-
-def _dc_operating_point(
-    circuit: Circuit,
-    initial_voltages: Optional[Dict[str, float]],
-    options: Optional[NewtonOptions],
-    gmin_s: float,
-    source_overrides: Optional[Mapping[str, float]],
-) -> DCResult:
-    chosen_options = options if options is not None else NewtonOptions()
-    level = rescue_level()
-    if level:
-        chosen_options = replace(
-            chosen_options,
-            max_iterations=chosen_options.max_iterations * (1 + level),
-        )
-        initial_voltages = _perturbed_initial_voltages(initial_voltages)
-    _singular_state.seen = False
-
-    for gmin_attempt in (gmin_s, gmin_s * 1e3, gmin_s * 1e6):
-        if gmin_attempt != gmin_s:
-            record_rescue("dc", "gmin_step")
-        assembler = MNAAssembler(circuit, gmin_s=gmin_attempt)
-        b = _source_vector_with_overrides(assembler, source_overrides)
-        x0 = assembler.initial_solution(initial_voltages)
-        # Seed the voltage-source branch targets so the first iteration does
-        # not start from a wildly inconsistent point.
-        for offset, source in enumerate(assembler.voltage_sources):
-            x0[assembler.n_nodes + offset] = 0.0
-        solution, iterations, converged, max_residual = _newton_solve(
-            assembler, b, x0, chosen_options
-        )
-        if converged and gmin_attempt == gmin_s:
-            return DCResult(
-                voltages=assembler.solution_to_dict(solution),
-                iterations=iterations,
-                converged=True,
-                max_residual_a=max_residual,
-            )
-        if converged:
-            # Found a solution at elevated gmin: walk gmin back down using the
-            # converged solution as the new starting point.
-            current = solution
-            for step_gmin in (gmin_attempt / 10.0, gmin_attempt / 100.0, gmin_s):
-                step_assembler = MNAAssembler(circuit, gmin_s=step_gmin)
-                b = _source_vector_with_overrides(step_assembler, source_overrides)
-                current, iterations, converged, max_residual = _newton_solve(
-                    step_assembler, b, current, chosen_options
-                )
-                if not converged:
-                    break
-            if converged:
-                return DCResult(
-                    voltages=step_assembler.solution_to_dict(current),
-                    iterations=iterations,
-                    converged=True,
-                    max_residual_a=max_residual,
-                )
-
-    # Fallback: source stepping at the baseline gmin.  The ramp tracks a
-    # physical turn-on trajectory, so bistable circuits land in a consistent
-    # state instead of oscillating around the unstable ridge.
-    assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-    b_full = _source_vector_with_overrides(assembler, source_overrides)
-    record_rescue("dc", "source_step")
-    solution, iterations, max_residual, step_assembler = _source_stepping(
-        circuit, b_full, chosen_options, gmin_s
-    )
-    if solution is not None:
-        return DCResult(
-            voltages=step_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    # Last resort: pseudo-transient continuation from the caller's guess
-    # (needed when the guessed state has ceased to exist — e.g. just past
-    # the fold of a bistable cell — and Newton must cross onto the
-    # surviving branch).
-    x0 = assembler.initial_solution(initial_voltages)
-    record_rescue("dc", "pseudo_transient")
-    solution, iterations, max_residual, pt_assembler = _pseudo_transient(
-        circuit, b_full, x0, chosen_options, gmin_s
-    )
-    if solution is not None:
-        return DCResult(
-            voltages=pt_assembler.solution_to_dict(solution),
-            iterations=iterations,
-            converged=True,
-            max_residual_a=max_residual,
-        )
-
-    singular_note = " after a singular Jacobian was encountered" if _saw_singular() else ""
-    raise ConvergenceError(
-        f"DC operating point did not converge{singular_note} "
-        f"(last max residual {max_residual:.3e} A)"
-    )
 
 
 @dataclass
@@ -526,16 +593,21 @@ class DCSweepResult:
         return None
 
 
-def _sweep_point_rescue(
-    circuit: Circuit,
-    assembler: MNAAssembler,
+def _sweep_grid(values: Sequence[float]) -> np.ndarray:
+    grid = np.asarray(list(values), dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ConvergenceError("a DC sweep needs at least one source value")
+    return grid
+
+
+def _gen_sweep_rescue(
+    cache: _AssemblerCache,
     b: np.ndarray,
     current: np.ndarray,
-    value: float,
-    source_name: str,
+    source_overrides: Mapping[str, float],
     options: NewtonOptions,
-    gmin_s: float,
-) -> tuple[np.ndarray, int]:
+    kind: str,
+) -> Generator[NewtonTarget, NewtonOutcome, Tuple[np.ndarray, int]]:
     """Recover one sweep point whose warm start failed.
 
     Warm start lost the branch (possible right at a fold).  The
@@ -543,31 +615,82 @@ def _sweep_point_rescue(
     the previous point: it relaxes along the circuit dynamics, so it
     stays on the current branch while it exists and crosses onto the
     surviving one exactly when it folds — unlike the gmin ladder, which
-    can hop branches early.  Shared verbatim by the scalar sweep and the
-    batched tier's per-straggler fallback, so a rescued lane reproduces
-    the scalar trajectory bit-for-bit.
+    can hop branches early.  Only if that fails does the point fall
+    through to the full operating-point ladder.
     """
-    node_names = assembler.node_names
-    record_rescue("dc_sweep", "sweep_point")
-    solution, iterations, _residual, _asm = _pseudo_transient(
-        circuit, b, current, options, gmin_s
+    record_rescue(f"{kind}_sweep", "sweep_point")
+    solution, iterations, _residual, _singular = yield from _gen_pseudo_transient(
+        cache, b, current, options
     )
     if solution is None:
-        point = dc_operating_point(
-            circuit,
-            initial_voltages={
-                node: float(current[assembler.index_of(node)])
-                for node in node_names
-            },
-            options=options,
-            gmin_s=gmin_s,
-            source_overrides={source_name: float(value)},
+        assembler = cache.base
+        node_names = assembler.node_names
+        point = yield from _gen_operating_point(
+            cache,
+            {node: float(current[assembler.index_of(node)]) for node in node_names},
+            options,
+            source_overrides,
+            kind,
         )
         iterations += point.iterations
         solution = assembler.initial_solution(
             {node: point.voltages[node] for node in node_names}
         )
     return solution, iterations
+
+
+def _gen_dc_sweep(
+    cache: _AssemblerCache,
+    source_name: str,
+    grid: np.ndarray,
+    initial_voltages: Optional[Dict[str, float]],
+    options: NewtonOptions,
+    kind: str,
+) -> Generator[NewtonTarget, NewtonOutcome, DCSweepResult]:
+    """The sweep continuation (``kind`` labels rescue telemetry as in
+    :func:`_gen_operating_point`)."""
+    assembler = cache.base
+    branch = assembler.branch_index(source_name)  # raises early for a bad name
+    first = yield from _gen_operating_point(
+        cache, initial_voltages, options, {source_name: float(grid[0])}, kind
+    )
+    node_names = assembler.node_names
+    iterations_total = first.iterations
+    current = assembler.initial_solution(
+        {node: first.voltages[node] for node in node_names}
+    )
+    b0 = assembler.source_vector(0.0)
+    node_pos = np.array(
+        [assembler.index_of(node) for node in node_names], dtype=np.int64
+    )
+    # The history is recorded as node-voltage snapshots and split per node
+    # at the end — a pure float64 passthrough.
+    snapshots: List[np.ndarray] = [current[node_pos]]
+    for value in grid[1:]:
+        b = b0.copy()
+        b[branch] = float(value)
+        solution, iterations, converged, _residual, _singular = yield (
+            assembler, b, current, options
+        )
+        iterations_total += iterations
+        if not converged:
+            solution, iterations = yield from _gen_sweep_rescue(
+                cache, b, current, {source_name: float(value)}, options, kind
+            )
+            iterations_total += iterations
+        current = solution
+        snapshots.append(current[node_pos])
+
+    stacked = np.stack(snapshots)
+    return DCSweepResult(
+        source_name=source_name,
+        values=grid,
+        voltages={
+            node: np.ascontiguousarray(stacked[:, k])
+            for k, node in enumerate(node_names)
+        },
+        iterations_total=iterations_total,
+    )
 
 
 def dc_sweep(
@@ -584,8 +707,9 @@ def dc_sweep(
     :func:`dc_operating_point`; every following point warm-starts Newton
     from the previous solution (the continuation that lets the butterfly
     sweeps walk through the steep VTC transition without losing the
-    branch).  A point that fails the warm start falls back to the full
-    ladder before the sweep gives up.
+    branch).  A point that fails the warm start falls back to
+    pseudo-transient continuation and then to the full ladder before the
+    sweep gives up.
 
     Parameters
     ----------
@@ -602,73 +726,17 @@ def dc_sweep(
     options, gmin_s:
         Newton knobs shared with :func:`dc_operating_point`.
     """
-    grid = np.asarray(list(values), dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ConvergenceError("a DC sweep needs at least one source value")
-    chosen_options = options if options is not None else NewtonOptions()
-
+    grid = _sweep_grid(values)
     with span("solver.dc_sweep", points=int(grid.size)) as sweep_span:
-        result = _dc_sweep(
-            circuit, source_name, grid, initial_voltages, chosen_options, gmin_s
+        gen = _gen_dc_sweep(
+            _AssemblerCache(MNAAssembler(circuit, gmin_s=gmin_s)),
+            source_name,
+            grid,
+            initial_voltages,
+            options if options is not None else NewtonOptions(),
+            kind="dc",
         )
+        result = _drive(gen, _solve_target)
         sweep_span.annotate(iterations=result.iterations_total)
         record_convergence("dc_sweep", result.iterations_total, True)
         return result
-
-
-def _dc_sweep(
-    circuit: Circuit,
-    source_name: str,
-    grid: np.ndarray,
-    initial_voltages: Optional[Dict[str, float]],
-    chosen_options: NewtonOptions,
-    gmin_s: float,
-) -> DCSweepResult:
-    assembler = MNAAssembler(circuit, gmin_s=gmin_s)
-    assembler.branch_index(source_name)  # raises early for a bad source name
-
-    first = dc_operating_point(
-        circuit,
-        initial_voltages=initial_voltages,
-        options=chosen_options,
-        gmin_s=gmin_s,
-        source_overrides={source_name: float(grid[0])},
-    )
-    node_names = assembler.node_names
-    history: Dict[str, List[float]] = {
-        node: [first.voltages[node]] for node in node_names
-    }
-    iterations_total = first.iterations
-
-    current = assembler.initial_solution(
-        {node: first.voltages[node] for node in node_names}
-    )
-    for value in grid[1:]:
-        b = assembler.source_vector(0.0)
-        b[assembler.branch_index(source_name)] = float(value)
-        solution, iterations, converged, _residual = _newton_solve(
-            assembler, b, current, chosen_options
-        )
-        iterations_total += iterations
-        if not converged:
-            solution, iterations = _sweep_point_rescue(
-                circuit,
-                assembler,
-                b,
-                current,
-                float(value),
-                source_name,
-                chosen_options,
-                gmin_s,
-            )
-            iterations_total += iterations
-        current = solution
-        for node in node_names:
-            history[node].append(float(current[assembler.index_of(node)]))
-
-    return DCSweepResult(
-        source_name=source_name,
-        values=grid,
-        voltages={node: np.asarray(values) for node, values in history.items()},
-        iterations_total=iterations_total,
-    )

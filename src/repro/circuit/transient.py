@@ -13,19 +13,27 @@ Backward Euler is the default because the bit-line discharge is a heavily
 damped RC problem where BE's numerical damping is harmless and its
 robustness is welcome; trapezoidal integration is available for accuracy
 studies (see the integration-method ablation bench).
+
+The time loop is written once, as a generator
+(:meth:`TransientSolver._time_loop`) that yields every solution vector
+whose device stamp a Newton iteration needs.  :meth:`TransientSolver.run`
+is the scalar driver: it answers each request with
+:meth:`~repro.circuit.mna.MNAAssembler.nonlinear_stamp`.  The batched
+driver in :mod:`repro.circuit.batch` runs many lanes' time loops at once
+and answers all their pending requests with one vectorised kernel call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..obs.convergence import record_convergence, record_step_rejections
 from ..obs.trace import span
-from .dc import ConvergenceError, NewtonOptions, rescue_level
-from .mna import CachedFactorSolver, JacobianTemplate, MNAAssembler
+from .dc import ConvergenceError, NewtonOptions, _drive, rescue_level
+from .mna import CachedFactorSolver, JacobianTemplate, MNAAssembler, NonlinearStamp
 from .netlist import Circuit
 from .waveform import TransientResult
 
@@ -90,8 +98,12 @@ class TransientSolver:
         time_s: float,
         dt_s: float,
         x_guess: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Solve one implicit time step; returns None when Newton fails."""
+    ) -> Generator[np.ndarray, NonlinearStamp, Optional[np.ndarray]]:
+        """Solve one implicit time step; returns None when Newton fails.
+
+        Yields every iterate whose device stamp it needs and receives the
+        :class:`NonlinearStamp` back (see :meth:`_time_loop`).
+        """
         assembler = self.assembler
         options = self.options.newton
         solver = self.solver_cache
@@ -106,7 +118,7 @@ class TransientSolver:
             # Rearranged into Newton form with an extra history term.
             c_factor = 2.0 / dt_s
             b_prev = assembler.source_vector(time_s - dt_s)
-            stamp_prev = assembler.nonlinear_stamp(x_prev)
+            stamp_prev = yield x_prev
             history = (
                 c_dot_prev_over_dt * 2.0
                 - g_matrix.dot(x_prev)
@@ -121,7 +133,7 @@ class TransientSolver:
 
         x = x_guess.copy()
         for _iteration in range(options.max_iterations):
-            stamp = assembler.nonlinear_stamp(x)
+            stamp = yield x
             residual = static.dot(x) + stamp.residual - rhs_const
             max_residual = float(np.max(np.abs(residual))) if residual.size else 0.0
             if max_residual < options.abs_tolerance_a:
@@ -141,7 +153,7 @@ class TransientSolver:
                 scale = options.max_voltage_step_v / max_step
             x = x + scale * delta
         # One last residual check with the final iterate.
-        stamp = assembler.nonlinear_stamp(x)
+        stamp = yield x
         residual = static.dot(x) + stamp.residual - rhs_const
         if float(np.max(np.abs(residual))) < options.abs_tolerance_a * 100.0:
             return x
@@ -172,28 +184,33 @@ class TransientSolver:
         # observation and one rejection-counter add per run, never per
         # step.
         with span("solver.transient") as tr_span:
-            rejections = 0
             try:
-                result, steps, rejections = self._run(
-                    initial_voltages, stop_condition
+                result, steps, rejections = _drive(
+                    self._time_loop(initial_voltages, stop_condition),
+                    self.assembler.nonlinear_stamp,
                 )
             except ConvergenceError:
                 record_convergence("transient", 0, False)
                 raise
-            finally:
-                record_step_rejections("transient", rejections)
+            record_step_rejections("transient", rejections)
             tr_span.annotate(
                 steps=steps, rejected=rejections, stop=result.stop_reason
             )
             record_convergence("transient", steps, True)
             return result
 
-    def _run(
+    def _time_loop(
         self,
         initial_voltages: Optional[Dict[str, float]],
         stop_condition: Optional[StopCondition],
-    ) -> "tuple[TransientResult, int, int]":
-        """Run the time loop; returns (result, accepted steps, rejections)."""
+    ) -> Generator[np.ndarray, NonlinearStamp, Tuple[TransientResult, int, int]]:
+        """The time loop; returns (result, accepted steps, rejections).
+
+        Yields every solution vector whose device stamp the Newton steps
+        need and receives the :class:`NonlinearStamp` back.  :meth:`run`
+        answers with :meth:`MNAAssembler.nonlinear_stamp`; the batched
+        driver answers many lanes' requests with one kernel call.
+        """
         options = self.options
         assembler = self.assembler
 
@@ -235,7 +252,7 @@ class TransientSolver:
                     f"{options.t_stop_s:.3e} s)"
                 )
             dt_s = min(dt_s, options.t_stop_s - time_s)
-            solution = self._newton_step(x, time_s + dt_s, dt_s, x)
+            solution = yield from self._newton_step(x, time_s + dt_s, dt_s, x)
             if solution is None:
                 rejections += 1
                 dt_s *= options.dt_shrink

@@ -77,11 +77,11 @@ from .worst_case import WorstCaseStudy
 #: Transient methods a scenario may select.
 CAMPAIGN_METHODS = ("backward-euler", "trapezoidal")
 
-#: Solver tiers the campaign can execute items through.  ``scalar`` runs
-#: one item at a time through the per-circuit Newton/transient solvers
-#: (the rtol<=1e-12 oracle); ``batched`` stacks every pending item's
-#: circuit lanes into the lockstep tier (:mod:`repro.circuit.batch`) and
-#: solves them jointly — records are bitwise identical either way.
+#: Solver drivers the campaign can solve prepared items on.  ``scalar``
+#: answers one item's Newton/transient requests at a time (the
+#: rtol<=1e-12 oracle); ``batched`` stacks every pending item's circuit
+#: lanes into the lockstep driver (:mod:`repro.circuit.batch`) and solves
+#: them jointly — records are bitwise identical either way.
 CAMPAIGN_SOLVERS = ("scalar", "batched")
 
 #: Short method tags used in item keys and file names.
@@ -259,14 +259,15 @@ class CampaignRecord:
     operation: str = "read"
     value: float = 0.0
     unit: str = "s"
-    #: Execution provenance (``compare=False``: which solver tier produced
-    #: a record — and how wide its batch was — is bookkeeping like
-    #: ``wall_s``, never part of record identity; the parity suite compares
-    #: scalar and batched records for full equality).
+    #: Execution provenance (``compare=False``: which solver driver
+    #: produced a record — and how many items shared its solve call — is
+    #: bookkeeping like ``wall_s``, never part of record identity; the
+    #: parity suite compares scalar and batched records for full equality).
+    #: A retried item is solved alone on the scalar driver (size 0).
     solver: str = field(default="scalar", compare=False)
     batch_size: int = field(default=0, compare=False)
-    #: Per-batch :class:`~repro.circuit.mna.SolverStats` delta, attached to
-    #: every record the batch produced (empty on the scalar tier).
+    #: :class:`~repro.circuit.mna.SolverStats` delta of the solve call,
+    #: attached to every record it produced (empty for a retried item).
     batch_stats: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
@@ -553,8 +554,7 @@ class CampaignWorkerState:
         return option
 
     def run_item(self, item: CampaignItem) -> CampaignRecord:
-        simulators = self._simulators_for(item.scenario)
-        operation = create_operation(item.scenario.operation)
+        """One item alone on the scalar driver: prepare → solve → finish."""
         started = time.perf_counter()
         with span(
             "item.measure",
@@ -562,63 +562,34 @@ class CampaignWorkerState:
             operation=item.scenario.operation,
             kind=item.kind,
         ):
-            if item.kind == "nominal":
-                measurement = operation.measure_nominal(
-                    simulators,
-                    item.n_wordlines,
-                    stored_value=item.scenario.stored_value,
-                )
-            elif item.kind == "corner":
-                measurement = operation.measure_with_patterning(
-                    simulators,
-                    item.n_wordlines,
-                    self._option_for(item.option_name),
-                    dict(item.corner_parameters),
-                    stored_value=item.scenario.stored_value,
-                )
-            else:
-                raise CampaignError(f"unknown campaign item kind {item.kind!r}")
-        wall_s = time.perf_counter() - started
-        return _record_from_measurement(item, measurement, wall_s)
+            work, _prep_wall = self.prepare_item(item)
+            measurement = work.run_scalar()
+        return _record_from_measurement(
+            item, measurement, time.perf_counter() - started
+        )
 
-    def run_item_outcome(
-        self, item: CampaignItem
+    def _retry(
+        self, item: CampaignItem, last_error: BaseException
     ) -> Union[CampaignRecord, ItemFailure]:
-        """Run one item under the failure policy: record, failure or raise.
+        """Run the retries of an item whose chunk attempt failed.
 
-        Attempt schedule under ``retry``: the first retry repeats the
-        attempt unchanged (a transient fault — an injected one, or a
-        machine-level hiccup — then reproduces the fault-free result
-        bit-for-bit), later retries escalate the solver rescue ladder
+        The chunk solve was attempt 0.  Under ``retry`` the next attempts
+        run one item at a time on the scalar driver, each under the item
+        deadline: the first retry repeats the attempt unchanged (a
+        transient fault — an injected one, or a machine-level hiccup —
+        then reproduces the fault-free result bit-for-bit), later retries
+        escalate the solver rescue ladder
         (:func:`~repro.circuit.dc.solver_rescue`: bigger Newton/step
         budgets, jittered start points) with capped exponential backoff
         between attempts.  Solver errors are classified into a typed
         :class:`ItemFailure`; ``fail_fast`` raises it wrapped in
         :class:`CampaignExecutionError` instead of returning it.
         """
-        faults.maybe_crash_worker(item.key, self.in_pool_worker)
-        return self._item_attempts(item, start_attempt=0, last_error=None)
-
-    def _item_attempts(
-        self,
-        item: CampaignItem,
-        start_attempt: int,
-        last_error: Optional[BaseException],
-    ) -> Union[CampaignRecord, ItemFailure]:
-        """Run attempts ``start_attempt..attempts-1`` of ``item``.
-
-        The batched tier enters at ``start_attempt=1`` after a failed joint
-        solve (attempt 0 happened inside the batch); the scalar tier enters
-        at 0.  Either way the total attempt budget and the rescue-ladder
-        schedule are identical, so a batch-quarantined item retries exactly
-        like a scalar failure would.
-        """
         attempts = 1 + (self.max_retries if self.failure_policy == "retry" else 0)
-        for attempt in range(start_attempt, attempts):
-            if attempt:
-                time.sleep(min(self.retry_backoff_s * (2.0 ** (attempt - 1)), 2.0))
+        for attempt in range(1, attempts):
+            time.sleep(min(self.retry_backoff_s * (2.0 ** (attempt - 1)), 2.0))
             try:
-                with solver_rescue(max(0, attempt - 1), seed=item.seed):
+                with solver_rescue(attempt - 1, seed=item.seed):
                     with item_deadline(self.item_timeout_s):
                         faults.check_solver(item.key, attempt)
                         return self.run_item(item)
@@ -632,7 +603,7 @@ class CampaignWorkerState:
         return failure
 
     def prepare_item(self, item: CampaignItem) -> Tuple[PreparedWork, float]:
-        """Build the item's lane set (batched attempt 0) and its prep wall."""
+        """Build the item's lane set and its prep wall."""
         simulators = self._simulators_for(item.scenario)
         operation = create_operation(item.scenario.operation)
         started = time.perf_counter()
@@ -663,13 +634,12 @@ class CampaignWorkerState:
     def prepare_chunk(
         self, items: Sequence[CampaignItem]
     ) -> List[Tuple[CampaignItem, Union[PreparedWork, BaseException], float]]:
-        """Phase 1 of the batched tier: build every item's lane set.
+        """Phase 1 of a chunk: build every item's lane set (attempt 0).
 
         Returns ``(item, prepared-or-error, prep_wall)`` per item.  An
         item error during preparation (including an injected fault for
-        attempt 0) is captured for the scalar retry ladder; a non-item
-        error (a bug) propagates, exactly as it would from
-        :meth:`run_item` on the scalar tier.
+        attempt 0) is captured for the retry ladder; a non-item error (a
+        bug) propagates.
         """
         entries: List[
             Tuple[CampaignItem, Union[PreparedWork, BaseException], float]
@@ -692,17 +662,16 @@ class CampaignWorkerState:
             Sequence[Tuple[CampaignItem, Union[PreparedWork, BaseException], float]]
         ],
     ) -> Iterator[List[Union[CampaignRecord, ItemFailure]]]:
-        """Phase 2 of the batched tier: one joint solve, per-chunk outcomes.
+        """Phase 2: one solve call on the selected driver, per-chunk outcomes.
 
-        All prepared chunks are solved in a single jointly-vectorized
-        call (same-topology lanes from different chunks stack into one
+        All prepared chunks are solved in a single call (on the batched
+        driver same-topology lanes from different chunks stack into one
         system), then the outcome lists are yielded chunk by chunk, in
-        order, so the caller can checkpoint at the same granularity as a
-        scalar run.  An item whose preparation or joint solve failed is
-        quarantined to the scalar retry ladder starting at attempt 1 —
-        the joint solve *was* attempt 0 — so failure-policy semantics
-        (``fail_fast``/``skip``/``retry`` budgets, escalating rescue) are
-        unchanged.  ``item_timeout_s`` applies to scalar retries only: a
+        order, so the caller checkpoints per chunk.  An item whose
+        preparation or solve failed goes to :meth:`_retry` — the joint
+        solve *was* attempt 0 — so failure-policy semantics
+        (``fail_fast``/``skip``/``retry`` budgets, escalating rescue) hold
+        on either driver.  ``item_timeout_s`` applies to retries only: a
         per-item deadline cannot be enforced inside a joint solve.
         """
         works = [
@@ -716,7 +685,7 @@ class CampaignWorkerState:
         with span(
             "campaign.joint_solve", chunks=len(chunked_entries), works=len(works)
         ) as solve_span:
-            results = iter(solve_prepared(works))
+            results = iter(solve_prepared(works, driver=self.solver))
             batch_wall = time.perf_counter() - batch_started
             batch_stats = {
                 key: value - stats_before.get(key, 0)
@@ -732,24 +701,20 @@ class CampaignWorkerState:
             outcomes: List[Union[CampaignRecord, ItemFailure]] = []
             for item, work, prep_wall in entries:
                 if isinstance(work, BaseException):
-                    outcomes.append(
-                        self._item_attempts(item, start_attempt=1, last_error=work)
-                    )
+                    outcomes.append(self._retry(item, work))
                     continue
                 result = next(results)
                 if isinstance(result, BaseException):
                     if not isinstance(result, _ITEM_ERRORS):
                         raise result
-                    outcomes.append(
-                        self._item_attempts(item, start_attempt=1, last_error=result)
-                    )
+                    outcomes.append(self._retry(item, result))
                     continue
                 outcomes.append(
                     _record_from_measurement(
                         item,
                         result,
                         prep_wall + (share if work.lanes else 0.0),
-                        solver="batched",
+                        solver=self.solver,
                         batch_size=batch_size,
                         batch_stats=batch_stats,
                     )
@@ -759,21 +724,15 @@ class CampaignWorkerState:
     def run_chunk_batched(
         self, items: Sequence[CampaignItem]
     ) -> List[Union[CampaignRecord, ItemFailure]]:
-        """Batched tier over one chunk (the pool-worker entry point)."""
-        (outcomes,) = list(self.finish_chunks([self.prepare_chunk(items)]))
-        return outcomes
-
-    def run_chunk(
-        self, items: Sequence[CampaignItem]
-    ) -> List[Union[CampaignRecord, ItemFailure]]:
+        """One chunk as one batch: prepare → solve → finish (the pool-worker
+        entry point)."""
         with span(
             "campaign.chunk",
             items=len(items),
             first=items[0].key if items else None,
         ):
-            if self.solver == "batched":
-                return self.run_chunk_batched(items)
-            return [self.run_item_outcome(item) for item in items]
+            (outcomes,) = list(self.finish_chunks([self.prepare_chunk(items)]))
+        return outcomes
 
 
 #: Per-process worker state installed by the pool initializer (the node is
@@ -825,7 +784,7 @@ def _init_campaign_worker(
 def _run_chunk_worker(
     items: Sequence[CampaignItem],
 ) -> List[Union[CampaignRecord, ItemFailure]]:
-    return _worker_state.run_chunk(items)
+    return _worker_state.run_chunk_batched(items)
 
 
 class SimulationCampaign:
@@ -874,12 +833,12 @@ class SimulationCampaign:
     retry_backoff_s:
         Base of the capped exponential backoff between attempts.
     solver:
-        ``"batched"`` (default) stacks same-topology Newton/transient
-        work across items into jointly-vectorized solves;
-        ``"scalar"`` runs items one at a time.  Records are bitwise
-        identical either way, so — like the failure knobs — the solver
-        tier is *not* part of :meth:`signature` and a store written
-        under one tier resumes cleanly under the other.
+        The driver prepared items are solved on: ``"batched"`` (default)
+        stacks same-topology Newton/transient work across items into
+        jointly-vectorized solves; ``"scalar"`` solves items one at a
+        time.  Records are bitwise identical either way, so — like the
+        failure knobs — the driver is *not* part of :meth:`signature` and
+        a store written under one resumes cleanly under the other.
     """
 
     def __init__(
@@ -1245,17 +1204,17 @@ class SimulationCampaign:
                 isolate = True
                 pending = self._requeue_lost(lost, crash_counts) + pending
 
-    def _run_serial_batched(self, chunks: List[List[CampaignItem]]) -> None:
-        """Serial batched execution: one joint solve over every chunk.
+    def _run_serial(self, chunks: List[List[CampaignItem]]) -> None:
+        """Serial execution: one solve call over every chunk.
 
         All chunks are prepared first (cheap: circuit building and lane
-        specs), then solved in a single jointly-vectorized call — lanes
-        of the same topology stack across chunk boundaries, so e.g. the
-        SNM butterfly sweeps of every array size iterate as one stacked
-        Newton system.  Outcomes still commit chunk by chunk, in LPT
-        order; if preparation dies mid-campaign the chunks prepared
+        specs), then solved in a single call — on the batched driver,
+        lanes of the same topology stack across chunk boundaries, so e.g.
+        the SNM butterfly sweeps of every array size iterate as one
+        stacked Newton system.  Outcomes still commit chunk by chunk, in
+        LPT order; if preparation dies mid-campaign the chunks prepared
         before the failure are solved and committed before the error
-        propagates, preserving the scalar tier's checkpoint granularity.
+        propagates.
         """
         state = self._local_state
         prepared: List[list] = []
@@ -1341,11 +1300,7 @@ class SimulationCampaign:
                         solver=self.solver,
                     )
                 stats_before = solver_stats().as_dict()
-                if self.solver == "batched":
-                    self._run_serial_batched(chunks)
-                else:
-                    for chunk in chunks:
-                        self._commit(self._local_state.run_chunk(chunk))
+                self._run_serial(chunks)
                 self.last_run_stats = {
                     key: value - stats_before.get(key, 0)
                     for key, value in solver_stats().as_dict().items()

@@ -110,7 +110,7 @@ class SRAMWriteCircuit:
 class WritePathSimulator:
     """Simulates worst-case writes of the DOE columns.
 
-    Parameters mirror :class:`ReadPathSimulator`; ``geometry`` optionally
+    Parameters match :class:`ReadPathSimulator`; ``geometry`` optionally
     supplies a read simulator whose layout / extraction / parasitics
     caches are shared (the default builds a private one).
     """
@@ -420,32 +420,6 @@ class WritePathSimulator:
 
         return PreparedWork(lanes=[lane], finish=finish)
 
-    def simulate_column(
-        self,
-        n_cells: int,
-        column: ColumnParasitics,
-        label: str,
-        write_value: int = 0,
-        return_waveforms: bool = False,
-    ):
-        """Run one write and measure the write delay.
-
-        Returns a :class:`WriteMeasurement`, or a ``(measurement, result)``
-        tuple when ``return_waveforms`` is true.
-        """
-        prepared = self.prepare_simulate_column(
-            n_cells, column, label, write_value=write_value
-        )
-        (lane,) = prepared.lanes
-        result = lane.solver.run(
-            initial_voltages=lane.initial_voltages,
-            stop_condition=lane.stop_condition,
-        )
-        measurement = prepared.finish([result])
-        if return_waveforms:
-            return measurement, result
-        return measurement
-
     # -- DC write margin -----------------------------------------------------------
 
     #: Sweep points of the write-margin continuation (10 mV at Vdd = 0.7 V).
@@ -558,7 +532,11 @@ class WritePathSimulator:
     # -- public measurement entry points -------------------------------------------
 
     def prepare_nominal(self, n_cells: int, write_value: int = 0) -> PreparedWork:
-        """Nominal write delay as prepared work; a memo hit carries zero lanes."""
+        """Nominal write delay as prepared work.
+
+        Memoized per ``(n_cells, write_value)``; a memo hit carries zero
+        lanes.
+        """
         key = (n_cells, write_value)
         cached = self._nominal_measurement_cache.get(key)
         if cached is not None:
@@ -576,15 +554,7 @@ class WritePathSimulator:
 
     def measure_nominal(self, n_cells: int, write_value: int = 0) -> WriteMeasurement:
         """Nominal write delay of an ``n_cells`` column (memoized)."""
-        key = (n_cells, write_value)
-        cached = self._nominal_measurement_cache.get(key)
-        if cached is None:
-            column = self.column_parasitics(n_cells)
-            cached = self.simulate_column(
-                n_cells, column, label="nominal", write_value=write_value
-            )
-            self._nominal_measurement_cache[key] = cached
-        return cached
+        return self.prepare_nominal(n_cells, write_value=write_value).run_scalar()
 
     def measure_nominal_margin(
         self, n_cells: int, write_value: int = 0
@@ -624,43 +594,9 @@ class WritePathSimulator:
         write_value: int = 0,
     ) -> WriteMeasurement:
         """Write delay with the column printed by ``option`` at ``parameters``."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.simulate_column(
-            n_cells,
-            column,
-            label=label if label is not None else option.name,
-            write_value=write_value,
-        )
-
-    def measure_margin_with_patterning(
-        self,
-        n_cells: int,
-        option: PatterningOption,
-        parameters: ParameterValues,
-        label: Optional[str] = None,
-        write_value: int = 0,
-    ) -> WriteMarginMeasurement:
-        """DC write margin of the printed column."""
-        extraction = self.geometry.printed_extraction(n_cells, option, parameters)
-        column = self.column_parasitics(n_cells, extraction)
-        return self.measure_margin(
-            n_cells,
-            column,
-            write_value=write_value,
-            label=label if label is not None else option.name,
-        )
-
-    def _scaled_column(
-        self, n_cells: int, rvar: float, cvar: float, vss_rvar: float
-    ) -> ColumnParasitics:
-        column = self.column_parasitics(n_cells)
-        return ColumnParasitics(
-            bitline=column.bitline.scaled(rvar, cvar),
-            bitline_bar=column.bitline_bar.scaled(rvar, cvar),
-            vss_rail_resistance_ohm=column.vss_rail_resistance_ohm * vss_rvar,
-            vdd_rail_resistance_ohm=column.vdd_rail_resistance_ohm * vss_rvar,
-        )
+        return self.prepare_with_patterning(
+            n_cells, option, parameters, label=label, write_value=write_value
+        ).run_scalar()
 
     def measure_with_variation(
         self,
@@ -672,8 +608,9 @@ class WritePathSimulator:
         write_value: int = 0,
     ) -> WriteMeasurement:
         """Write delay with the nominal column scaled by explicit RC ratios."""
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
-        return self.simulate_column(n_cells, scaled, label=label, write_value=write_value)
+        return self.prepare_with_variation(
+            n_cells, rvar, cvar, vss_rvar=vss_rvar, label=label, write_value=write_value
+        ).run_scalar()
 
     def prepare_with_variation(
         self,
@@ -685,7 +622,7 @@ class WritePathSimulator:
         write_value: int = 0,
     ) -> PreparedWork:
         """Ratio-scaled write delay as prepared work (batched promotion path)."""
-        scaled = self._scaled_column(n_cells, rvar, cvar, vss_rvar)
+        scaled = self.column_parasitics(n_cells).scaled(rvar, cvar, vss_rvar)
         return self.prepare_simulate_column(
             n_cells, scaled, label=label, write_value=write_value
         )

@@ -421,6 +421,39 @@ class TestConvergenceTelemetry:
             for (name, labels) in snap["histograms"]
         )
 
+    def test_batched_transients_record_step_rejections(self):
+        # A one-iteration Newton budget forces rejected (dt-halved) steps;
+        # both drivers must count them, each under its convergence kind.
+        from dataclasses import replace
+
+        from repro.circuit.batch import batch_run_transients, run_lane_scalar
+        from repro.circuit.dc import NewtonOptions
+        from repro.circuit.transient import TransientSolver
+        from repro.core.operations import OperationSimulators
+        from repro.technology import n10
+
+        def starved_read_lane():
+            (lane,) = OperationSimulators(n10()).read.prepare_nominal(16).lanes
+            options = replace(
+                lane.solver.options, newton=NewtonOptions(max_iterations=1)
+            )
+            return replace(
+                lane, solver=TransientSolver(lane.solver.circuit, options=options)
+            )
+
+        scalar = run_lane_scalar(starved_read_lane())
+        (batched,) = batch_run_transients([starved_read_lane()])
+        assert list(batched.times_s) == list(scalar.times_s)
+        counters = registry().snapshot()["counters"]
+        rejected = {
+            kind: counters.get(
+                ("repro_solver_step_rejections_total", (("kind", kind),)), 0
+            )
+            for kind in ("transient", "batch_transient")
+        }
+        assert rejected["transient"] > 0
+        assert rejected["batch_transient"] == rejected["transient"]
+
 
 # -- dashboard ---------------------------------------------------------------------------
 

@@ -9,7 +9,8 @@ elementwise numerics).  Covered here:
 
 - DC-sweep lanes (the SNM butterfly hot path) at batch sizes 1/3/17/64,
   including a rescue-ladder-in-lockstep batch (starved Newton budget)
-  and the explicit scalar fallback under an active rescue context;
+  and sweep, operating-point and transient lanes escalated under an
+  active rescue context, still in lockstep;
 - transient lanes (read and write measurements) through the
   prepare/finish entry points;
 - the full campaign across all four operations and every paper
@@ -24,12 +25,16 @@ import numpy as np
 import pytest
 
 from repro.circuit.batch import (
+    OperatingPointLaneSpec,
     SweepLaneSpec,
+    batch_dc_operating_points,
     batch_dc_sweep,
+    batch_run_transients,
     run_lane_scalar,
     solve_prepared,
 )
-from repro.circuit.dc import NewtonOptions, solver_rescue
+from repro.circuit.dc import ConvergenceError, NewtonOptions, solver_rescue
+from repro.circuit.transient import TransientSolver
 from repro.circuit.mna import reset_solver_stats, solver_stats
 from repro.core.campaign import SimulationCampaign, scenario_grid
 from repro.core.operations import OperationSimulators
@@ -61,6 +66,20 @@ def _butterfly_lanes(sims, count):
     for n_cells, mode in ((16, "hold"), (16, "read"), (64, "hold"), (64, "read")):
         pool.extend(sims.margins._prepare_butterfly(n_cells, mode=mode).lanes)
     return [pool[i % len(pool)] for i in range(count)]
+
+
+def _read_lane(node, max_steps=None):
+    """A fresh nominal 16-cell read lane, optionally with a step budget."""
+    (lane,) = OperationSimulators(node, n_bitline_pairs=4).read.prepare_nominal(16).lanes
+    if max_steps is None:
+        return lane
+    solver = lane.solver
+    return replace(
+        lane,
+        solver=TransientSolver(
+            solver.circuit, options=replace(solver.options, max_steps=max_steps)
+        ),
+    )
 
 
 def _assert_sweep_equal(batched, scalar):
@@ -97,15 +116,44 @@ class TestSweepLaneParity:
         for lane, outcome in zip(lanes, batched):
             _assert_sweep_equal(outcome, run_lane_scalar(lane))
 
-    def test_active_rescue_context_falls_back_to_scalar(self, sims):
+    def test_active_rescue_context_runs_in_lockstep(self, node, sims):
         lanes = _butterfly_lanes(sims, 3)
+        # Operating points from the butterfly guesses: the escalation
+        # scales their Newton budget and jitters those guesses.
+        starved = NewtonOptions(max_iterations=4, abs_tolerance_a=1e-8)
+        op_lanes = [
+            OperatingPointLaneSpec(
+                lane.circuit,
+                initial_voltages=lane.initial_voltages,
+                options=options,
+                source_overrides={lane.source_name: 0.35},
+            )
+            for lane in lanes
+            for options in (lane.options, starved)
+        ]
+        # A read whose accepted-step budget is half what it needs: it only
+        # completes under the escalation's scaled transient budget.
+        full = run_lane_scalar(_read_lane(node))
+        budget = (len(full.times_s) - 1) // 2
+        with pytest.raises(ConvergenceError, match="accepted steps"):
+            run_lane_scalar(_read_lane(node, max_steps=budget))
         reset_solver_stats()
         with solver_rescue(2, seed=7):
             batched = batch_dc_sweep(lanes)
+            points = batch_dc_operating_points(op_lanes)
+            (transient,) = batch_run_transients([_read_lane(node, max_steps=budget)])
             scalars = [run_lane_scalar(lane) for lane in lanes]
-        assert solver_stats().scalar_fallbacks >= len(lanes)
+            scalar_points = [run_lane_scalar(lane) for lane in op_lanes]
+            scalar_transient = run_lane_scalar(_read_lane(node, max_steps=budget))
+        assert solver_stats().scalar_fallbacks == 0
         for outcome, scalar in zip(batched, scalars):
             _assert_sweep_equal(outcome, scalar)
+        for outcome, scalar in zip(points, scalar_points):
+            assert outcome == scalar
+        assert not isinstance(transient, BaseException)
+        np.testing.assert_array_equal(transient.times_s, scalar_transient.times_s)
+        for name, wave in scalar_transient.voltages.items():
+            np.testing.assert_array_equal(transient.voltages[name], wave)
 
 
 class TestPreparedMeasurementParity:

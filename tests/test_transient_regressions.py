@@ -82,7 +82,7 @@ class TestStepBudget:
             if failures["remaining"] > 0:
                 failures["remaining"] -= 1
                 return None
-            return true_step(self, x_prev, time_s, dt_s, x_guess)
+            return (yield from true_step(self, x_prev, time_s, dt_s, x_guess))
 
         monkeypatch.setattr(type(solver), "_newton_step", flaky_step)
         # 8 rejections plus ~11 accepted steps complete the window; if
