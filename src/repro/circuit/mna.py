@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -59,7 +59,8 @@ class SolverStats:
     lanes launched into lockstep groups and ``batch_lane_slots`` the
     lane slots offered across ticks (active or not), so
     ``batch_lane_iterations / batch_lane_slots`` is the active-lane
-    fraction and ``scalar_fallbacks / batch_lanes`` the demotion rate.
+    fraction.  Demoted lanes are not launched, so the demotion rate is
+    ``scalar_fallbacks / (batch_lanes + scalar_fallbacks)``.
     """
 
     factorizations: int = 0
@@ -89,16 +90,10 @@ class SolverStats:
             "scalar_fallbacks": self.scalar_fallbacks,
         }
 
-    def snapshot(self) -> "SolverStats":
-        return SolverStats(**self.as_dict())
-
-    def delta_since(self, before: "SolverStats") -> "SolverStats":
-        return SolverStats(
-            **{
-                key: value - getattr(before, key)
-                for key, value in self.as_dict().items()
-            }
-        )
+    def add(self, counts: Mapping[str, int]) -> None:
+        """Add counters taken from another process (a pool worker)."""
+        for key, value in counts.items():
+            setattr(self, key, getattr(self, key) + value)
 
 
 _stats_state = threading.local()

@@ -41,19 +41,10 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from ..circuit.batch import PreparedWork, solve_prepared
 from ..circuit.dc import ConvergenceError, solver_rescue
-from ..circuit.mna import MNAError, solver_stats
+from ..circuit.mna import MNAError, reset_solver_stats, solver_stats
 from ..obs import metrics as obs_metrics
-from ..obs.profile import (
-    _clear_inherited_profiler,
-    active_profiler,
-    enable_worker_profiling,
-)
-from ..obs.trace import (
-    _clear_inherited_tracer,
-    active_tracer,
-    enable_worker_tracing,
-    span,
-)
+from ..obs.profile import _adopt_inherited_profiler, active_profiler
+from ..obs.trace import _adopt_inherited_tracer, active_tracer, span
 from ..technology.node import TechnologyNode
 from ..testing import faults
 from ..variability.doe import StudyDOE, paper_doe
@@ -750,24 +741,16 @@ def _init_campaign_worker(
     item_timeout_s: Optional[float] = None,
     retry_backoff_s: float = 0.05,
     solver: str = "scalar",
-    trace_worker_dir: Optional[str] = None,
-    profile_worker_dir: Optional[str] = None,
 ) -> None:
     global _worker_state
-    # A forked worker inherits the parent's tracer object; two processes
-    # appending to one file would interleave torn records, so the worker
-    # either gets its own trace-<pid>.jsonl (merged by the parent on
-    # chunk commit) or stops emitting entirely.  Same story for the
-    # sampling profiler: the worker samples into its own
-    # profile-<pid>.folded (summed by the parent at stop).
-    if trace_worker_dir is not None:
-        enable_worker_tracing(trace_worker_dir)
-    else:
-        _clear_inherited_tracer()
-    if profile_worker_dir is not None:
-        enable_worker_profiling(profile_worker_dir)
-    else:
-        _clear_inherited_profiler()
+    # A forked worker inherits the parent's tracer, profiler, registry
+    # and solver counters.  It must not write the parent's files, and
+    # what it hands home must be its own work only: spans and samples go
+    # to memory, and the inherited counters start from zero.
+    _adopt_inherited_tracer()
+    _adopt_inherited_profiler()
+    obs_metrics.reset_registry()
+    reset_solver_stats()
     _worker_state = CampaignWorkerState(
         node,
         n_bitline_pairs,
@@ -781,10 +764,48 @@ def _init_campaign_worker(
     )
 
 
+def _take_telemetry() -> Dict[str, object]:
+    """What this process observed since the last take, reset to zero.
+
+    The spans, profiler samples, registry counters/histograms and
+    solver counters a pool worker sends home with each chunk.
+    """
+    tracer = active_tracer()
+    profiler = active_profiler()
+    metrics = obs_metrics.registry().snapshot()
+    obs_metrics.reset_registry()
+    solver = solver_stats().as_dict()
+    reset_solver_stats()
+    return {
+        "spans": tracer.take() if tracer is not None else [],
+        "samples": profiler.take() if profiler is not None else {},
+        "metrics": metrics,
+        "solver": solver,
+    }
+
+
+def _absorb_telemetry(telemetry: Mapping[str, object]) -> None:
+    """Fold a pool chunk's :func:`_take_telemetry` into this process.
+
+    Solver counters land in the calling thread's ``solver_stats()``, so
+    the run windows that fold them into the registry count pool work
+    exactly once, as they do serial work.
+    """
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.write(telemetry["spans"])
+    profiler = active_profiler()
+    if profiler is not None:
+        profiler.add(telemetry["samples"])
+    obs_metrics.registry().merge(telemetry["metrics"])
+    solver_stats().add(telemetry["solver"])
+
+
 def _run_chunk_worker(
     items: Sequence[CampaignItem],
-) -> List[Union[CampaignRecord, ItemFailure]]:
-    return _worker_state.run_chunk_batched(items)
+) -> Tuple[List[Union[CampaignRecord, ItemFailure]], Dict[str, object]]:
+    outcomes = _worker_state.run_chunk_batched(items)
+    return outcomes, _take_telemetry()
 
 
 class SimulationCampaign:
@@ -887,10 +908,8 @@ class SimulationCampaign:
         self.item_timeout_s = item_timeout_s
         self.retry_backoff_s = float(retry_backoff_s)
         self.solver = solver
-        #: Solver-counter deltas of the most recent serial ``run()`` —
+        #: Solver-counter deltas of the most recent ``run()`` —
         #: factorizations, stamp evaluations, batch ticks and so on.
-        #: Pool runs accumulate counters in worker processes, so this
-        #: stays empty there.
         self.last_run_stats: Dict[str, int] = {}
         self.signature_extra: Dict[str, object] = (
             dict(signature_extra) if signature_extra is not None else {}
@@ -1070,9 +1089,8 @@ class SimulationCampaign:
 
         Commit is also the observability checkpoint: each outcome feeds
         the metrics registry (item wall-time histogram, per-operation and
-        failure counters), and any pool-worker trace files are merged
-        into the main trace here — the same granularity at which results
-        become durable.
+        failure counters) — the same granularity at which results become
+        durable.
         """
         with span("campaign.commit", outcomes=len(outcomes)):
             for outcome in outcomes:
@@ -1088,23 +1106,8 @@ class SimulationCampaign:
                 self._memo[outcome.key] = outcome
                 if self.store is not None:
                     self.store.save_record(outcome)
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.merge_workers()
 
     def _worker_initargs(self) -> tuple:
-        tracer = active_tracer()
-        trace_worker_dir = (
-            str(tracer.worker_dir)
-            if tracer is not None and tracer.worker_dir is not None
-            else None
-        )
-        profiler = active_profiler()
-        profile_worker_dir = (
-            str(profiler.worker_dir)
-            if profiler is not None and profiler.worker_dir is not None
-            else None
-        )
         return (
             self.node,
             self.doe.n_bitline_pairs,
@@ -1114,8 +1117,6 @@ class SimulationCampaign:
             self.item_timeout_s,
             self.retry_backoff_s,
             self.solver,
-            trace_worker_dir,
-            profile_worker_dir,
         )
 
     def _requeue_lost(
@@ -1197,9 +1198,12 @@ class SimulationCampaign:
                 }
                 for future in as_completed(futures):
                     try:
-                        self._commit(future.result())
+                        outcomes, telemetry = future.result()
                     except BrokenExecutor:
                         lost.append(futures[future])
+                        continue
+                    _absorb_telemetry(telemetry)
+                    self._commit(outcomes)
             if lost:
                 isolate = True
                 pending = self._requeue_lost(lost, crash_counts) + pending
@@ -1284,6 +1288,9 @@ class SimulationCampaign:
             chunks=len(chunks),
             solver=self.solver,
         ) as run_span:
+            # Pool chunks bring their workers' counters home into this
+            # thread's solver_stats(), so one window covers both modes.
+            stats_before = solver_stats().as_dict()
             if effective > 1 and len(chunks) > 1:
                 with span("campaign.pool", workers=effective, chunks=len(chunks)):
                     self._run_pool(chunks, effective)
@@ -1299,20 +1306,14 @@ class SimulationCampaign:
                         retry_backoff_s=self.retry_backoff_s,
                         solver=self.solver,
                     )
-                stats_before = solver_stats().as_dict()
                 self._run_serial(chunks)
-                self.last_run_stats = {
-                    key: value - stats_before.get(key, 0)
-                    for key, value in solver_stats().as_dict().items()
-                }
-                run_span.annotate(
-                    solver_stats={
-                        k: v for k, v in self.last_run_stats.items() if v
-                    }
-                )
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.merge_workers()
+            self.last_run_stats = {
+                key: value - stats_before.get(key, 0)
+                for key, value in solver_stats().as_dict().items()
+            }
+            run_span.annotate(
+                solver_stats={k: v for k, v in self.last_run_stats.items() if v}
+            )
 
         return CampaignResults(
             [self._memo[item.key] for item in items if item.key in self._memo],

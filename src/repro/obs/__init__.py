@@ -11,14 +11,13 @@ pulls every number into one place:
   Prometheus text-exposition renderer (``GET /v1/metrics``);
 * :mod:`repro.obs.trace` — structured span tracing
   (``with span("campaign.chunk", item=key): ...``) emitting append-only
-  JSONL, with cross-process collection (pool workers write
-  ``trace-<pid>.jsonl``, the parent merges on chunk commit) and a
-  Chrome-trace exporter so any run opens in ``chrome://tracing``;
+  JSONL, with pool workers' spans sent home with each chunk result,
+  and a Chrome-trace exporter so any run opens in ``chrome://tracing``;
 * :mod:`repro.obs.profile` — a stdlib-only sampling profiler (a
   background thread walking ``sys._current_frames()`` at ~101 Hz) that
   writes folded/collapsed flamegraph stacks rooted at the active span
-  (``phase:<span>;mod.func;...``), with the same cross-process
-  collection scheme as tracing;
+  (``phase:<span>;mod.func;...``); pool workers' samples come home
+  with each chunk, like their spans and metrics;
 * :mod:`repro.obs.convergence` — solver convergence telemetry:
   iterations-to-converge histograms, rescue/rejection counters and
   lane-efficiency gauges, all exported through the registry;
@@ -72,7 +71,6 @@ from .profile import (
     active_profiler,
     disable_profiling,
     enable_profiling,
-    enable_worker_profiling,
     merge_folded,
     phase_totals,
     read_folded,
@@ -86,7 +84,6 @@ from .trace import (
     current_trace_ids,
     disable_tracing,
     enable_tracing,
-    enable_worker_tracing,
     read_trace,
     span,
     to_chrome_trace,
@@ -115,8 +112,6 @@ __all__ = [
     "enable_profiling",
     "enable_residual_recording",
     "enable_tracing",
-    "enable_worker_profiling",
-    "enable_worker_tracing",
     "format_findings",
     "has_regressions",
     "histogram_quantile",

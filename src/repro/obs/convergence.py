@@ -18,8 +18,8 @@ did it:
   step controller's damping events);
 * lane-efficiency gauges derived from :class:`SolverStats` deltas —
   ``repro_solver_lane_occupancy`` (active-lane fraction per tick) and
-  ``repro_solver_scalar_fallback_rate`` (lanes demoted per lane
-  launched).
+  ``repro_solver_scalar_fallback_rate`` (demoted lanes per lane handed
+  to the batched driver).
 
 Residual-norm *decay traces* are too bulky for the registry, so they go
 through a bounded :class:`ResidualTraceRecorder` — off by default,
@@ -135,7 +135,9 @@ def record_lane_stats(
     ``batch_lane_iterations / batch_lane_slots`` is the active-lane
     fraction over the delta window (1.0 = every lane of every tick still
     converging; low values mean stragglers kept mostly-idle ticks
-    alive).  ``scalar_fallbacks / batch_lanes`` is the demotion rate.
+    alive).  ``scalar_fallbacks / (batch_lanes + scalar_fallbacks)`` is
+    the demotion rate: demoted lanes are never launched, so they are not
+    in ``batch_lanes``.
     """
     reg = reg if reg is not None else registry()
     slots = float(delta.get("batch_lane_slots", 0) or 0)

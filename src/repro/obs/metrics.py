@@ -16,6 +16,11 @@ Series are keyed by ``(name, frozen label tuple)``; all mutation happens
 under one lock so campaign worker threads and the HTTP server can write
 concurrently.  ``snapshot()``/``delta_since()`` give tests and benches a
 cheap way to assert what a block of work contributed.
+
+Campaign pool workers write into their own process's registry and hand
+its counters and histograms home with each finished chunk; the parent
+adds them with :meth:`MetricsRegistry.merge`, so every series counts
+the same work in serial and pool runs.
 """
 
 from __future__ import annotations
@@ -224,6 +229,23 @@ class MetricsRegistry:
             if hist is None:
                 hist = self._histograms[key] = _Histogram(buckets)
             hist.observe(value)
+
+    def merge(self, delta: Mapping[str, Mapping[SeriesKey, Any]]) -> None:
+        """Add counter and histogram growth shaped like :meth:`delta_since`.
+
+        Histograms add bucket by bucket.  Gauges are levels, not growth,
+        so they are ignored.
+        """
+        with self._lock:
+            for key, value in delta.get("counters", {}).items():
+                self._counters[key] = self._counters.get(key, 0.0) + value
+            for key, grown in delta.get("histograms", {}).items():
+                hist = self._histograms.get(key)
+                if hist is None:
+                    hist = self._histograms[key] = _Histogram(tuple(grown["buckets"]))
+                hist.counts = [a + b for a, b in zip(hist.counts, grown["counts"])]
+                hist.sum += grown["sum"]
+                hist.count += grown["count"]
 
     # -- inspection ------------------------------------------------------
 

@@ -15,15 +15,11 @@ attribution.  While the profiler is on, span stacks are maintained even
 with tracing off (:func:`repro.obs.trace.set_stack_tracking`), so
 ``--profile`` alone is enough for phase-attributed samples.
 
-Cross-process collection mirrors tracing's worker protocol: campaign
-pool workers start their own profiler via the same pool-initializer
-hook (:func:`enable_worker_profiling`), each periodically rewriting its
-*aggregate* to ``<path>.workers/profile-<pid>.folded`` (atomic replace,
-so a torn read is impossible and a killed worker leaves its last whole
-aggregate).  The parent sums every worker file into its own samples
-when profiling is disabled.  Unlike the trace protocol these files are
-cumulative aggregates, not append logs — they are read once, at the
-end, never drained incrementally.
+Campaign pool workers sample into memory: a worker's profiler hands its
+samples over with each finished chunk (:meth:`SamplingProfiler.take`)
+and the parent adds them to its own (:meth:`SamplingProfiler.add`), so
+one folded file covers every process.  Samples of a chunk whose worker
+dies are lost with that chunk.
 
 Pure stdlib; sampling overhead is a few tens of microseconds per tick
 against a ~9.9 ms period (the obs bench gates it at <=5% on the full
@@ -32,8 +28,6 @@ ops DOE).
 
 from __future__ import annotations
 
-import atexit
-import os
 import sys
 import threading
 import time
@@ -50,7 +44,6 @@ __all__ = [
     "active_profiler",
     "disable_profiling",
     "enable_profiling",
-    "enable_worker_profiling",
     "merge_folded",
     "phase_totals",
     "read_folded",
@@ -79,32 +72,26 @@ def _frame_label(frame: Any) -> str:
 class SamplingProfiler:
     """Background-thread sampler aggregating folded stacks in memory.
 
-    ``worker_dir`` set → parent mode: :meth:`stop` additionally sums
-    every ``profile-*.folded`` aggregate found there.  ``flush_every_s``
-    > 0 → the sampling loop periodically rewrites ``path`` with the
-    current aggregate (worker mode relies on this, since pool children
-    get no orderly shutdown hook).
+    ``flush_every_s`` > 0 → the sampling loop periodically rewrites
+    ``path`` with the current aggregate.  With ``path=None`` (a pool
+    worker) nothing is written; :meth:`take` hands the samples over.
     """
 
     def __init__(
         self,
-        path: Union[str, Path],
+        path: Optional[Union[str, Path]],
         hz: float = DEFAULT_HZ,
-        worker_dir: Optional[Union[str, Path]] = None,
         flush_every_s: float = 0.5,
     ) -> None:
         if hz <= 0:
             raise ValueError(f"sampling rate must be positive, got {hz!r}")
-        self.path = Path(path)
+        self.path = Path(path) if path is not None else None
         self.interval_s = 1.0 / float(hz)
-        self.worker_dir = Path(worker_dir) if worker_dir is not None else None
         self.flush_every_s = float(flush_every_s)
         #: folded stack -> number of samples observed in *this* process.
         self.samples: Counter = Counter()
         #: sampling-loop iterations that captured at least one stack.
         self.sample_ticks = 0
-        #: worker aggregate files merged by the final :meth:`stop`.
-        self.merged_workers = 0
         self._stop_event = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -123,14 +110,13 @@ class SamplingProfiler:
         return self
 
     def stop(self) -> "SamplingProfiler":
-        """Stop sampling, merge worker aggregates, write the final file."""
+        """Stop sampling and write the final file."""
         thread = self._thread
         if thread is not None:
             self._stop_event.set()
             thread.join(timeout=5.0)
             self._thread = None
             _trace.set_stack_tracking(False)
-        self.merge_workers()
         self.flush()
         return self
 
@@ -179,8 +165,21 @@ class SamplingProfiler:
         with self._lock:
             return dict(self.samples)
 
+    def take(self) -> Dict[str, int]:
+        """Hand over and forget the samples aggregated so far."""
+        with self._lock:
+            samples, self.samples = self.samples, Counter()
+        return dict(samples)
+
+    def add(self, samples: Dict[str, int]) -> None:
+        """Sum another process's folded samples into this aggregate."""
+        with self._lock:
+            self.samples.update(samples)
+
     def flush(self) -> None:
         """Atomically rewrite ``path`` with the current aggregate."""
+        if self.path is None:
+            return
         with self._lock:
             items = sorted(self.samples.items(), key=lambda kv: (-kv[1], kv[0]))
         text = "".join(f"{stack} {count}\n" for stack, count in items)
@@ -188,37 +187,6 @@ class SamplingProfiler:
             atomic_write_text(self.path, text)
         except OSError:
             pass
-
-    def merge_workers(self) -> int:
-        """Sum every worker aggregate into this profiler's samples.
-
-        Each worker file is a cumulative aggregate, so each is consumed
-        exactly once; records merged are returned.
-        """
-        if self.worker_dir is None:
-            return 0
-        merged = 0
-        try:
-            paths = sorted(self.worker_dir.glob("profile-*.folded"))
-        except OSError:
-            return 0
-        for worker_path in paths:
-            worker_samples = read_folded(worker_path)
-            if not worker_samples:
-                continue
-            with self._lock:
-                self.samples.update(worker_samples)
-            merged += sum(worker_samples.values())
-            self.merged_workers += 1
-            try:
-                worker_path.unlink()
-            except OSError:
-                pass
-        try:
-            self.worker_dir.rmdir()
-        except OSError:
-            pass
-        return merged
 
 
 # ---------------------------------------------------------------------------
@@ -233,32 +201,20 @@ def active_profiler() -> Optional[SamplingProfiler]:
 
 
 def enable_profiling(path: Union[str, Path], hz: float = DEFAULT_HZ) -> SamplingProfiler:
-    """Start sampling this process to ``path`` (folded/collapsed format).
-
-    A sibling ``<path>.workers/`` directory is prepared so campaign pool
-    workers can contribute their own samples; stale worker aggregates
-    from an earlier run are removed first.
-    """
+    """Start sampling this process to ``path`` (folded/collapsed format)."""
     global _active
     if _active is not None:
         disable_profiling()
     target = Path(path)
     if target.parent != Path(""):
         target.parent.mkdir(parents=True, exist_ok=True)
-    worker_dir = target.parent / (target.name + ".workers")
-    worker_dir.mkdir(parents=True, exist_ok=True)
-    for stale in worker_dir.glob("profile-*.folded"):
-        try:
-            stale.unlink()
-        except OSError:
-            pass
-    _active = SamplingProfiler(target, hz=hz, worker_dir=worker_dir)
+    _active = SamplingProfiler(target, hz=hz)
     _active.start()
     return _active
 
 
 def disable_profiling() -> Optional[SamplingProfiler]:
-    """Stop sampling; merges worker aggregates and writes the final file."""
+    """Stop sampling and write the final file."""
     global _active
     profiler = _active
     _active = None
@@ -267,34 +223,20 @@ def disable_profiling() -> Optional[SamplingProfiler]:
     return profiler
 
 
-def enable_worker_profiling(
-    worker_dir: Union[str, Path], hz: float = DEFAULT_HZ
-) -> SamplingProfiler:
-    """Start this pool worker's own sampler under the parent's worker dir.
+def _adopt_inherited_profiler() -> None:
+    """Swap a profiler inherited across ``fork`` for an in-memory one.
 
-    Called from the campaign pool initializer (the same hook worker
-    tracing uses).  The worker keeps rewriting its aggregate every flush
-    interval because forked children get no reliable atexit; the parent
-    reads whatever whole aggregate survived.  atexit is still registered
-    for the start methods that do run it.
+    Called from the pool-worker initializer.  The parent's sampling
+    thread did not survive the fork, and stopping the inherited object
+    would rewrite the parent's output file from a stale copy; the child
+    instead samples at the same rate into memory.  A worker of an
+    unprofiled parent does not sample.
     """
     global _active
-    target = Path(worker_dir) / f"profile-{os.getpid()}.folded"
-    profiler = SamplingProfiler(target, hz=hz, worker_dir=None)
-    _active = profiler.start()
-    atexit.register(profiler.stop)
-    return profiler
-
-
-def _clear_inherited_profiler() -> None:
-    """Drop a profiler object inherited across ``fork`` without stopping it.
-
-    The parent's sampling thread did not survive the fork; the child
-    must simply forget the object (stopping it would rewrite the
-    parent's output file from a stale copy).
-    """
-    global _active
+    inherited = _active
     _active = None
+    if inherited is not None:
+        _active = SamplingProfiler(None, hz=1.0 / inherited.interval_s).start()
 
 
 # ---------------------------------------------------------------------------

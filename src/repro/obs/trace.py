@@ -14,12 +14,11 @@ perf-counter ``dur``), so a crash loses at most the open spans.  Tracing
 is **off by default**: ``span()`` then returns a shared no-op singleton
 whose enter/exit cost is two attribute lookups, and no file is touched.
 
-Cross-process collection mirrors the job journal's torn-tail tolerance:
-pool workers write ``<trace>.workers/trace-<pid>.jsonl``; the parent
-drains each worker file from a remembered byte offset up to the last
-complete newline on every chunk commit (and once more on close), so a
-worker killed mid-write never corrupts the merged trace — the torn tail
-is simply left unconsumed and unparsable lines are counted and skipped.
+Pool workers never touch the trace file.  A campaign pool worker traces
+into memory (:meth:`Tracer.take`), ships its finished records home with
+each chunk result, and the parent appends them (:meth:`Tracer.write`).
+Records of a chunk whose worker dies are lost with that chunk; the
+requeued attempt reports normally.
 
 ``to_chrome_trace()`` converts the records to the Chrome trace-event
 JSON that ``chrome://tracing`` and Perfetto load directly.
@@ -46,7 +45,6 @@ __all__ = [
     "current_trace_ids",
     "disable_tracing",
     "enable_tracing",
-    "enable_worker_tracing",
     "read_trace",
     "set_stack_tracking",
     "span",
@@ -234,97 +232,50 @@ class Span:
 
 
 class Tracer:
-    """Appends span records to one JSONL file; optionally merges workers."""
+    """Appends span records to one JSONL file, or keeps them in memory.
+
+    With ``path=None`` (a pool worker) the serialised records accumulate
+    until :meth:`take` hands them over.
+    """
 
     def __init__(
-        self,
-        path: Union[str, Path],
-        worker_dir: Optional[Path] = None,
-        trace_id: Optional[str] = None,
+        self, path: Optional[Union[str, Path]], trace_id: Optional[str] = None
     ) -> None:
-        self.path = Path(path)
-        self.worker_dir = worker_dir
+        self.path = Path(path) if path is not None else None
         #: Shared by the parent tracer and its pool workers, so every
         #: record (and every correlated log/journal line) names one run.
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
-        self.skipped_lines = 0
+        self._lines: List[str] = []
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._span_ids = itertools.count(1)
-        self._offsets: Dict[Path, int] = {}
 
     def span(self, name: str, **attrs: Any) -> Span:
         return Span(self, name, dict(attrs))
 
     def _emit(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, separators=(",", ":"), default=str)
+        if self.path is None:
+            with self._lock:
+                self._lines.append(line)
+        else:
+            self.write([line])
+
+    def write(self, lines: Sequence[str]) -> None:
+        """Append serialised records (this process's or a pool worker's)."""
+        if not lines:
+            return
         # Open-per-append, like the journal: no descriptor to leak across
-        # fork, and each record is one atomic-enough write.
+        # fork, and each batch is one atomic-enough write.
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write("\n".join(lines) + "\n")
 
-    # -- cross-process collection ---------------------------------------
-
-    def merge_workers(self) -> int:
-        """Drain complete lines from every worker file into the main trace.
-
-        Returns the number of records merged.  Safe to call while workers
-        are still writing: each file is consumed from a remembered byte
-        offset up to its last newline, so a torn tail is left for the
-        next merge and a record is never split.
-        """
-        if self.worker_dir is None:
-            return 0
-        try:
-            paths = sorted(self.worker_dir.glob("trace-*.jsonl"))
-        except OSError:
-            return 0
-        return sum(self._drain(path) for path in paths)
-
-    def _drain(self, worker_path: Path) -> int:
-        offset = self._offsets.get(worker_path, 0)
-        try:
-            with open(worker_path, "rb") as fh:
-                fh.seek(offset)
-                blob = fh.read()
-        except OSError:
-            return 0
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return 0
-        good: List[str] = []
-        for raw in blob[: end + 1].splitlines():
-            if not raw.strip():
-                continue
-            try:
-                json.loads(raw)
-            except ValueError:
-                self.skipped_lines += 1
-                continue
-            good.append(raw.decode("utf-8"))
-        self._offsets[worker_path] = offset + end + 1
-        if good:
-            with self._lock:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write("\n".join(good) + "\n")
-        return len(good)
-
-    def close(self) -> None:
-        """Final worker merge, then remove fully-drained worker files."""
-        if self.worker_dir is None:
-            return
-        self.merge_workers()
-        try:
-            for worker_path in self.worker_dir.glob("trace-*.jsonl"):
-                try:
-                    if worker_path.stat().st_size <= self._offsets.get(worker_path, 0):
-                        worker_path.unlink()
-                except OSError:
-                    pass
-            self.worker_dir.rmdir()
-        except OSError:
-            pass
+    def take(self) -> List[str]:
+        """Hand over and forget the records kept in memory."""
+        with self._lock:
+            lines, self._lines = self._lines, []
+        return lines
 
 
 # ---------------------------------------------------------------------------
@@ -353,68 +304,35 @@ def span(name: str, **attrs: Any) -> Union[Span, "_StackSpan", _NullSpan]:
 
 
 def enable_tracing(path: Union[str, Path]) -> Tracer:
-    """Start tracing to ``path`` (truncates it) and return the tracer.
-
-    A sibling ``<path>.workers/`` directory is prepared for pool workers;
-    stale worker files from an earlier run are removed so they cannot be
-    re-merged.
-    """
+    """Start tracing to ``path`` (truncates it) and return the tracer."""
     global _active
     if _active is not None:
         disable_tracing()
     target = Path(path)
     if target.parent != Path(""):
         target.parent.mkdir(parents=True, exist_ok=True)
-    worker_dir = target.parent / (target.name + ".workers")
-    worker_dir.mkdir(parents=True, exist_ok=True)
-    for stale in worker_dir.glob("trace-*.jsonl"):
-        try:
-            stale.unlink()
-        except OSError:
-            pass
     target.write_text("", encoding="utf-8")
-    _active = Tracer(target, worker_dir=worker_dir)
+    _active = Tracer(target)
     return _active
 
 
-def enable_worker_tracing(worker_dir: Union[str, Path]) -> Tracer:
-    """Re-point this process's tracer at ``worker_dir/trace-<pid>.jsonl``.
+def _adopt_inherited_tracer() -> None:
+    """Swap a tracer inherited across ``fork`` for an in-memory one.
 
-    Called from the pool-worker initializer: a forked child inherits the
-    parent's tracer object, but two processes appending to one file would
-    interleave torn records — so each worker gets its own file that the
-    parent merges on chunk commit.
+    Called from the pool-worker initializer: the parent's tracer keeps
+    owning its file, and the worker's records travel home with each
+    chunk.  A worker of an untraced parent does not trace.
     """
     global _active
     inherited = _active
-    target = Path(worker_dir) / f"trace-{os.getpid()}.jsonl"
-    _active = Tracer(
-        target,
-        worker_dir=None,
-        trace_id=inherited.trace_id if inherited is not None else None,
-    )
-    return _active
-
-
-def _clear_inherited_tracer() -> None:
-    """Drop a tracer object inherited across ``fork`` without closing it.
-
-    Pool-worker initializers call this when the parent traced to a
-    location the worker must not touch (or did not trace at all): the
-    parent's tracer keeps owning its file; the child simply stops
-    emitting.
-    """
-    global _active
-    _active = None
+    _active = None if inherited is None else Tracer(None, trace_id=inherited.trace_id)
 
 
 def disable_tracing() -> Optional[Tracer]:
-    """Stop tracing; merges any remaining worker records first."""
+    """Stop tracing; returns the tracer that was active."""
     global _active
     tracer = _active
     _active = None
-    if tracer is not None:
-        tracer.close()
     return tracer
 
 

@@ -452,9 +452,7 @@ def format_solver_summary(meta: Dict[str, object]) -> str:
 
     Shows where the linear-algebra work went: full LU factorizations vs
     cheap refactorizations, dense (batched-tier) vs sparse solves, and
-    the batched tier's tick/lane counters.  A pool-backed run accumulates
-    its counters in worker processes, so the section only appears when
-    the driver process did the solving (serial runs).
+    the batched tier's tick/lane counters.
     """
     stats = dict(meta.get("solver_stats") or {})
     labels = [
@@ -585,27 +583,20 @@ def format_trace_summary(records, top_n: int = 10) -> str:
 
     solver_totals: Dict[str, int] = {}
     solver_label = None
-    # campaign.run spans carry the serial tier's full solver delta; fall
-    # back to the joint-solve spans' batch deltas when the run-level
-    # counters are absent (pool mode accumulates them in workers).
-    for source in ("campaign.run", "campaign.joint_solve"):
-        for record in records:
-            if record.get("name") != source:
-                continue
-            args = record.get("args")
-            if not isinstance(args, dict):
-                continue
-            if source == "campaign.run" and args.get("solver"):
-                solver_label = str(args["solver"])
-            stats = args.get("solver_stats")
-            if isinstance(stats, dict):
-                for key, value in stats.items():
-                    try:
-                        solver_totals[key] = solver_totals.get(key, 0) + int(value)
-                    except (TypeError, ValueError):
-                        continue
-        if solver_totals:
-            break
+    # campaign.run spans carry the run's full solver delta in every mode.
+    for record in records:
+        args = record.get("args")
+        if record.get("name") != "campaign.run" or not isinstance(args, dict):
+            continue
+        if args.get("solver"):
+            solver_label = str(args["solver"])
+        stats = args.get("solver_stats")
+        if isinstance(stats, dict):
+            for key, value in stats.items():
+                try:
+                    solver_totals[key] = solver_totals.get(key, 0) + int(value)
+                except (TypeError, ValueError):
+                    continue
     if solver_totals:
         sections.append(
             format_solver_summary(

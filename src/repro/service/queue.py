@@ -348,7 +348,13 @@ class ExperimentQueue:
         if future is None:
             raise JobError(f"job {job_id} has no pending computation")
         try:
-            result = future.result(timeout=timeout)
+            try:
+                result = future.result(timeout=timeout)
+            finally:
+                # The future wakes its waiters before it runs its done
+                # callbacks; settle here so status() agrees on return.
+                if future.done():
+                    self._make_settler(job_id)(future)
         except CancelledError:
             raise JobError(f"job {job_id} was cancelled") from None
         except FutureTimeoutError:

@@ -193,6 +193,7 @@ class TestCampaignCommand:
         )
         out = capsys.readouterr().out
         assert "Simulation campaign: 8 records" in out
+        assert "Solver summary" in out
 
     def test_campaign_operations_axis(self, capsys):
         assert main(["campaign", "--operations", "read", "write"] + FAST) == 0

@@ -313,21 +313,20 @@ class TestSamplingProfiler:
 
     def test_worker_aggregates_merge_once(self, tmp_path):
         out = tmp_path / "profile.folded"
-        worker_dir = tmp_path / "profile.folded.workers"
-        worker_dir.mkdir()
-        (worker_dir / "profile-1234.folded").write_text(
-            "phase:item.solve;mod.func 7\n"
-        )
-        (worker_dir / "profile-5678.folded").write_text(
-            "phase:item.solve;mod.func 3\nnot a folded line\n"
-        )
-        profiler = SamplingProfiler(out, worker_dir=worker_dir)
+        workers = [SamplingProfiler(None), SamplingProfiler(None)]
+        workers[0].add({"phase:item.solve;mod.func": 7})
+        workers[1].add({"phase:item.solve;mod.func": 3})
+        profiler = SamplingProfiler(out)
         profiler.samples["phase:item.solve;mod.func"] = 5
+        for worker in workers:
+            profiler.add(worker.take())
+        for worker in workers:  # taking resets: a second hand-over is empty
+            profiler.add(worker.take())
         profiler.stop()
         samples = read_folded(out)
         assert samples["phase:item.solve;mod.func"] == 15
-        assert profiler.merged_workers == 2
-        assert not worker_dir.exists()  # consumed exactly once
+        assert all(worker.path is None for worker in workers)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.folded"]
 
     def test_merge_folded_sums_aggregates(self):
         merged = merge_folded([{"a;b": 2}, {"a;b": 3, "c;d": 1}])

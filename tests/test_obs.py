@@ -1,14 +1,27 @@
 """Tests of the observability layer: metrics, tracing, reports, sidecar."""
 
 import json
+import os
+import pickle
 import threading
 import urllib.request
 from dataclasses import replace
 
 import pytest
 
+from repro import api
+from repro.circuit.mna import reset_solver_stats, solver_stats
 from repro.cli import main
-from repro.core.campaign import SimulationCampaign, scenario_grid
+from repro.core.campaign import (
+    SimulationCampaign,
+    _absorb_telemetry,
+    _take_telemetry,
+    scenario_grid,
+)
+from repro.core.spec import ArraySpec, ExperimentSpec, OperationSpec
+from repro.obs import profile as obs_profile
+from repro.obs import trace as obs_trace
+from repro.obs.convergence import ITERATION_BUCKETS
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_S,
     MetricsRegistry,
@@ -26,6 +39,7 @@ from repro.obs.trace import (
     campaign_attribution,
     disable_tracing,
     enable_tracing,
+    Tracer,
     read_trace,
     span,
     to_chrome_trace,
@@ -216,24 +230,26 @@ class TestTracing:
     def test_worker_merge_tolerates_torn_tails(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         tracer = enable_tracing(trace)
-        worker = tracer.worker_dir / "trace-12345.jsonl"
-        worker.write_text(
-            '{"name": "w1", "ts": 1, "dur": 1, "pid": 12345}\n'
-            "garbage line\n"
-            '{"name": "w2", "ts": 2'  # torn tail, no newline
-        )
-        assert tracer.merge_workers() == 1
-        assert tracer.skipped_lines == 1
+        worker = Tracer(None, trace_id=tracer.trace_id)
+        with worker.span("w1"):
+            pass
+        torn = worker.span("w2")
+        torn.__enter__()  # still open when the chunk result ships
+        tracer.write(worker.take())
+        assert [r["name"] for r in read_trace(trace)] == ["w1"]
 
-        # The torn record completes later (the worker kept writing).
-        with open(worker, "a", encoding="utf-8") as fh:
-            fh.write(', "dur": 9, "pid": 12345}\n')
-        assert tracer.merge_workers() == 1
+        # The open span completes later (the worker kept running).
+        torn.__exit__(None, None, None)
+        tracer.write(worker.take())
+        assert worker.take() == []  # handed over exactly once
+        # A torn tail (a crash mid-write) does not hide the merged records.
+        with open(trace, "a", encoding="utf-8") as fh:
+            fh.write('{"name": "w3", "ts": 2')
         disable_tracing()
 
         names = [r["name"] for r in read_trace(trace)]
         assert names == ["w1", "w2"]
-        assert not tracer.worker_dir.exists()  # drained files cleaned up
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.jsonl"]
 
     def test_enable_truncates_previous_trace(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -302,6 +318,161 @@ class TestTracedCampaignParity:
         assert any(r["name"] == "campaign.run" for r in records)
         attribution = campaign_attribution(records)
         assert attribution["coverage_percent"] >= 95.0
+
+
+# -- pool-worker telemetry ---------------------------------------------------------------
+
+
+class TestWorkerTelemetry:
+    def test_take_then_absorb_round_trip(self, tmp_path, monkeypatch):
+        """What a worker takes per chunk lands once in the parent's sinks."""
+        key = ("repro_solver_rescue_total", (("kind", "dc"), ("stage", "gmin_step")))
+        hist_key = ("repro_solver_iterations", (("kind", "dc"),))
+        stack = "phase:campaign.chunk;mod.func"
+
+        # Worker side: an in-memory tracer and profiler, two chunks.
+        worker_profiler = obs_profile.SamplingProfiler(None)
+        monkeypatch.setattr(obs_trace, "_active", Tracer(None))
+        monkeypatch.setattr(obs_profile, "_active", worker_profiler)
+        reset_solver_stats()
+        taken = []
+        for chunk in range(2):
+            with span("campaign.chunk", chunk=chunk):
+                pass
+            worker_profiler.add({stack: 3})
+            registry().inc(key[0], kind="dc", stage="gmin_step")
+            registry().observe(
+                hist_key[0], 3.0, buckets=ITERATION_BUCKETS, kind="dc"
+            )
+            solver_stats().factorizations += 5
+            # The chunk result crosses a process boundary.
+            taken.append(pickle.loads(pickle.dumps(_take_telemetry())))
+        # Taking resets: nothing is handed over twice.
+        assert _take_telemetry() == {
+            "spans": [],
+            "samples": {},
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+            "solver": reset_solver_stats().as_dict(),
+        }
+
+        # Parent side: a file tracer, a file profiler, earlier counts.
+        trace = tmp_path / "trace.jsonl"
+        enable_tracing(trace)
+        parent_profiler = obs_profile.SamplingProfiler(tmp_path / "p.folded")
+        parent_profiler.add({stack: 1})
+        monkeypatch.setattr(obs_profile, "_active", parent_profiler)
+        registry().observe(hist_key[0], 1.0, buckets=ITERATION_BUCKETS, kind="dc")
+        solver_stats().factorizations = 7
+        try:
+            for telemetry in taken:
+                _absorb_telemetry(telemetry)
+        finally:
+            disable_tracing()
+
+        chunks = [r for r in read_trace(trace) if r["name"] == "campaign.chunk"]
+        assert [r["args"]["chunk"] for r in chunks] == [0, 1]
+        parent_profiler.stop()
+        assert obs_profile.read_folded(tmp_path / "p.folded") == {stack: 7}
+        snap = registry().snapshot()
+        assert snap["counters"][key] == 2
+        hist = snap["histograms"][hist_key]
+        assert (hist["count"], hist["sum"]) == (3, 7.0)
+        # One observation at 1.0, two at 3.0: cumulative ``le`` buckets.
+        assert hist["counts"][:4] == [1, 1, 3, 3]
+        assert solver_stats().factorizations == 17
+        reset_solver_stats()
+
+
+#: Solver counters that count work, not schedule: a pool loses the
+#: cross-chunk lane stacking, so ticks, lane slots and stamp sweeps
+#: depend on the execution mode and are not compared.
+_WORK_COUNTERS = (
+    "factorizations",
+    "refactorizations",
+    "dense_solves",
+    "sparse_solves",
+    "stamp_device_evals",
+    "batch_lane_iterations",
+    "batch_lanes",
+    "scalar_fallbacks",
+)
+
+
+def _work_numbers(snapshot):
+    """The registry numbers a run's work determines, lane groups summed."""
+    numbers = {
+        f"repro_solver_{name}_total": snapshot["counters"].get(
+            (f"repro_solver_{name}_total", ()), 0.0
+        )
+        for name in _WORK_COUNTERS
+    }
+    for (name, labels), value in snapshot["counters"].items():
+        if name in (
+            "repro_solver_converged_total",
+            "repro_solver_rescue_total",
+            "repro_items_total",
+        ):
+            key = (name, tuple(kv for kv in labels if kv[0] != "lane_group"))
+            numbers[key] = numbers.get(key, 0.0) + value
+    for (name, labels), hist in snapshot["histograms"].items():
+        if name == "repro_solver_iterations":
+            key = (name, tuple(kv for kv in labels if kv[0] != "lane_group"))
+            count, total = numbers.get(key, (0, 0.0))
+            numbers[key] = (count + hist["count"], total + hist["sum"])
+    return numbers
+
+
+class TestPoolTelemetryParity:
+    def test_pool_run_reports_the_work_of_a_serial_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            SimulationCampaign, "available_cpus", staticmethod(lambda: 2)
+        )
+        campaigns = []
+        run = SimulationCampaign.run
+
+        def spy(self, *args, **kwargs):
+            campaigns.append(self)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationCampaign, "run", spy)
+        spec = ExperimentSpec(
+            kind="operations",
+            array=ArraySpec(sizes=(16, 64)),
+            operation=OperationSpec(
+                operations=("read", "write", "hold_snm", "read_snm")
+            ),
+        )
+        seen = {}
+        for workers in (1, 2):
+            reset_registry()
+            trace = tmp_path / f"trace-{workers}.jsonl"
+            enable_tracing(trace)
+            try:
+                api.run(spec, workers=workers)
+            finally:
+                disable_tracing()
+            campaign = campaigns[-1]
+            seen[workers] = (
+                _work_numbers(registry().snapshot()),
+                {name: campaign.last_run_stats.get(name) for name in _WORK_COUNTERS},
+                read_trace(trace),
+            )
+        serial, pool = seen[1], seen[2]
+
+        assert len(campaign._chunks(campaign.work_items())) > 1
+        kinds = {
+            dict(key[1])["kind"]
+            for key in serial[0]
+            if key[0] == "repro_solver_converged_total"
+        }
+        assert {"batch_dc_sweep", "batch_transient"} <= kinds
+        assert serial[0]["repro_solver_factorizations_total"] > 0
+        assert pool[0] == serial[0]
+        assert pool[1] == serial[1]
+
+        chunk_pids = {r["pid"] for r in pool[2] if r["name"] == "campaign.chunk"}
+        assert chunk_pids and os.getpid() not in chunk_pids
+        assert not list(tmp_path.glob("*.workers"))
 
 
 # -- the report CLI verb -----------------------------------------------------------------
