@@ -400,6 +400,7 @@ def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
         "summary": {
             "workers": workers,
             "effective_workers": effective_workers[workers],
+            "parallel_speedup": round(walls[1] / walls[workers], 2),
             "cpu_count": os.cpu_count(),
             "speedup_at_workers": round(scalar_wall / walls[workers], 2),
             "speedup_best": round(scalar_wall / best_wall, 2),
@@ -532,6 +533,7 @@ def run_ops_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
         "summary": {
             "workers": workers,
             "effective_workers": effective_workers[workers],
+            "parallel_speedup": round(walls[1] / walls[workers], 2),
             "cpu_count": os.cpu_count(),
             "speedup_at_workers": round(scalar_wall / walls[workers], 2),
             "speedup_best": round(scalar_wall / best_wall, 2),
@@ -1089,8 +1091,12 @@ def bench_environment(workers: int | None = None) -> dict:
 #: (regression when it grows).
 GATED_METRICS: dict = {
     "mc": {"batch_samples_per_s": "higher", "speedup_geomean": "higher"},
-    "sim": {"speedup_at_workers": "higher"},
-    "ops": {"solver_speedup": "higher", "speedup_at_workers": "higher"},
+    "sim": {"speedup_at_workers": "higher", "parallel_speedup": "higher"},
+    "ops": {
+        "solver_speedup": "higher",
+        "speedup_at_workers": "higher",
+        "parallel_speedup": "higher",
+    },
     "service": {
         "speedup_warm_vs_cold": "higher",
         "submissions_per_s": "higher",
@@ -1113,11 +1119,15 @@ def _suite_metrics(suite: str, report: dict) -> dict:
             metrics["speedup_geomean"] = report["summary"]["speedup_geomean"]
         return metrics
     if suite == "sim":
-        return {"speedup_at_workers": report["summary"]["speedup_at_workers"]}
+        return {
+            "speedup_at_workers": report["summary"]["speedup_at_workers"],
+            "parallel_speedup": report["summary"]["parallel_speedup"],
+        }
     if suite == "ops":
         return {
             "solver_speedup": report["summary"]["solver_speedup"],
             "speedup_at_workers": report["summary"]["speedup_at_workers"],
+            "parallel_speedup": report["summary"]["parallel_speedup"],
         }
     if suite == "service":
         return {

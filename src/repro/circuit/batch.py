@@ -441,14 +441,16 @@ class _DCGroup:
         residual = self._residual(act, x_act, ids)
         max_res = np.abs(residual).max(axis=1)
         self.last_mr[act] = max_res
-        for pos in np.nonzero(max_res < self.abs_tol[act])[0]:
+        # Judged once, before any resolve installs a lane's next target
+        # (and with it that target's own tolerance).
+        converged = max_res < self.abs_tol[act]
+        for pos in np.nonzero(converged)[0]:
             i = int(act[pos])
             self._resolve(i, True, int(self.iter[i]))
 
-        cont = max_res >= self.abs_tol[act]
         # NaN residuals fall through to the solve exactly as the scalar
         # loop does (NaN < tol and NaN >= prev are both False).
-        cont |= np.isnan(max_res)
+        cont = ~converged
         if not cont.any():
             return
         idx = act[cont]
@@ -665,8 +667,8 @@ def _lane_stamp(assembler: MNAAssembler,
         _STAMP_PICK[kind], _STAMP_SIGN[kind], gds[plan.stamp_dev], gm[plan.stamp_dev]
     )
     return NonlinearStamp(
-        rows=list(plan.stamp_rows),
-        cols=list(plan.stamp_cols),
+        rows=plan.stamp_rows,
+        cols=plan.stamp_cols,
         values=values,
         residual=residual,
     )

@@ -119,9 +119,9 @@ def reset_solver_stats() -> SolverStats:
 class NonlinearStamp:
     """Jacobian triplets and residual currents of the nonlinear devices."""
 
-    rows: List[int]
-    cols: List[int]
-    values: List[float]
+    rows: Sequence[int]
+    cols: Sequence[int]
+    values: Sequence[float]
     residual: np.ndarray
 
 

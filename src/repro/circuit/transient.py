@@ -218,14 +218,25 @@ class TransientSolver:
         record_nodes = (
             options.record_nodes if options.record_nodes is not None else assembler.node_names
         )
-        for node in record_nodes:
-            assembler.index_of(node)  # raises early for typos
+        # Record positions resolved once (raising early for typos); ground
+        # reads the trailing zero of the extended solution vector.
+        record_pos = np.array(
+            [
+                assembler.size if index is None else index
+                for index in map(assembler.index_of, record_nodes)
+            ],
+            dtype=np.int64,
+        )
+        x_ext = np.zeros(assembler.size + 1)
 
+        def snapshot(solution: np.ndarray) -> np.ndarray:
+            x_ext[:-1] = solution
+            return x_ext[record_pos]
+
+        # The history is recorded as node-voltage snapshots and split per
+        # node at the end — a pure float64 passthrough.
         times: List[float] = [0.0]
-        history: Dict[str, List[float]] = {
-            node: [float(x[assembler.index_of(node)]) if assembler.index_of(node) is not None else 0.0]
-            for node in record_nodes
-        }
+        snapshots: List[np.ndarray] = [snapshot(x)]
 
         time_s = 0.0
         dt_s = options.dt_initial_s
@@ -272,22 +283,23 @@ class TransientSolver:
             time_s += dt_s
             x = solution
             times.append(time_s)
-            voltages_now: Dict[str, float] = {}
-            for node in record_nodes:
-                index = assembler.index_of(node)
-                value = 0.0 if index is None else float(x[index])
-                history[node].append(value)
-                voltages_now[node] = value
+            snapshots.append(snapshot(x))
 
-            if stop_condition is not None and stop_condition(time_s, voltages_now):
+            if stop_condition is not None and stop_condition(
+                time_s, dict(zip(record_nodes, snapshots[-1].tolist()))
+            ):
                 stop_reason = "stop-condition"
                 break
 
             dt_s = min(dt_s * options.dt_growth, options.dt_max_s)
 
+        stacked = np.stack(snapshots)
         result = TransientResult(
             times_s=np.asarray(times),
-            voltages={node: np.asarray(values) for node, values in history.items()},
+            voltages={
+                node: np.ascontiguousarray(stacked[:, k])
+                for k, node in enumerate(record_nodes)
+            },
             converged=True,
             stop_reason=stop_reason,
         )

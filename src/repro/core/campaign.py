@@ -712,18 +712,42 @@ class CampaignWorkerState:
                 )
             yield outcomes
 
+    def run_chunks(
+        self, chunks: Sequence[Sequence[CampaignItem]]
+    ) -> Iterator[List[Union[CampaignRecord, ItemFailure]]]:
+        """Prepare every chunk, solve them in one call, yield per-chunk outcomes.
+
+        The one execution path of both modes: preparation is cheap
+        (circuit building and lane specs), so every chunk is prepared
+        first and the joint solve stacks same-topology lanes across chunk
+        boundaries — e.g. the SNM butterfly sweeps of every array size
+        iterate as one Newton system.  If preparation dies with a
+        non-item error, the chunks prepared before it are still solved
+        and yielded before the error propagates.
+        """
+        prepared: List[list] = []
+        try:
+            for chunk in chunks:
+                with span("campaign.prepare", items=len(chunk)):
+                    prepared.append(self.prepare_chunk(chunk))
+        except BaseException:
+            yield from self.finish_chunks(prepared)
+            raise
+        yield from self.finish_chunks(prepared)
+
     def run_chunk_batched(
-        self, items: Sequence[CampaignItem]
-    ) -> List[Union[CampaignRecord, ItemFailure]]:
-        """One chunk as one batch: prepare → solve → finish (the pool-worker
-        entry point)."""
+        self, share: Sequence[Sequence[CampaignItem]]
+    ) -> List[List[Union[CampaignRecord, ItemFailure]]]:
+        """A pool worker's share of chunks through :meth:`run_chunks`.
+
+        Returns one outcome list per chunk of the share, in order.
+        """
         with span(
             "campaign.chunk",
-            items=len(items),
-            first=items[0].key if items else None,
+            chunks=len(share),
+            items=sum(len(chunk) for chunk in share),
         ):
-            (outcomes,) = list(self.finish_chunks([self.prepare_chunk(items)]))
-        return outcomes
+            return list(self.run_chunks(share))
 
 
 #: Per-process worker state installed by the pool initializer (the node is
@@ -768,7 +792,7 @@ def _take_telemetry() -> Dict[str, object]:
     """What this process observed since the last take, reset to zero.
 
     The spans, profiler samples, registry counters/histograms and
-    solver counters a pool worker sends home with each chunk.
+    solver counters a pool worker sends home with each share.
     """
     tracer = active_tracer()
     profiler = active_profiler()
@@ -785,7 +809,7 @@ def _take_telemetry() -> Dict[str, object]:
 
 
 def _absorb_telemetry(telemetry: Mapping[str, object]) -> None:
-    """Fold a pool chunk's :func:`_take_telemetry` into this process.
+    """Fold a pool share's :func:`_take_telemetry` into this process.
 
     Solver counters land in the calling thread's ``solver_stats()``, so
     the run windows that fold them into the registry count pool work
@@ -801,10 +825,10 @@ def _absorb_telemetry(telemetry: Mapping[str, object]) -> None:
     solver_stats().add(telemetry["solver"])
 
 
-def _run_chunk_worker(
-    items: Sequence[CampaignItem],
-) -> Tuple[List[Union[CampaignRecord, ItemFailure]], Dict[str, object]]:
-    outcomes = _worker_state.run_chunk_batched(items)
+def _run_share_worker(
+    share: Sequence[Sequence[CampaignItem]],
+) -> Tuple[List[List[Union[CampaignRecord, ItemFailure]]], Dict[str, object]]:
+    outcomes = _worker_state.run_chunk_batched(share)
     return outcomes, _take_telemetry()
 
 
@@ -1057,18 +1081,45 @@ class SimulationCampaign:
     # -- execution ---------------------------------------------------------------------
 
     @staticmethod
-    def _chunks(items: Sequence[CampaignItem]) -> List[List[CampaignItem]]:
+    def _chunk_load(chunk: Sequence[CampaignItem]) -> int:
+        # Simulation cost grows with the array size and the item count.
+        return chunk[0].n_wordlines * len(chunk)
+
+    @classmethod
+    def _chunks(cls, items: Sequence[CampaignItem]) -> List[List[CampaignItem]]:
+        """Items grouped by ``(array size, sim key)``, heaviest chunk first.
+
+        The longest-processing-time order is what :meth:`_shares` needs
+        to balance the pool's per-worker shares.
+        """
         grouped: Dict[Tuple[int, str], List[CampaignItem]] = {}
         for item in items:
             grouped.setdefault(item.chunk_key, []).append(item)
-        # Longest (biggest array, most items) chunks first: simulation cost
-        # grows with the array size, so LPT-style ordering keeps the pool
-        # balanced.
         return sorted(
             grouped.values(),
-            key=lambda chunk: (chunk[0].n_wordlines * len(chunk), len(chunk)),
+            key=lambda chunk: (cls._chunk_load(chunk), len(chunk)),
             reverse=True,
         )
+
+    @classmethod
+    def _shares(
+        cls, chunks: Sequence[List[CampaignItem]], n: int
+    ) -> List[List[List[CampaignItem]]]:
+        """Split LPT-ordered ``chunks`` into ``min(n, len(chunks))`` shares.
+
+        Each chunk, in order, joins the least-loaded share (ties go to
+        the lowest index); the load is :meth:`_chunk_load`.  A share keeps
+        its chunks in LPT order.
+        """
+        shares: List[List[List[CampaignItem]]] = [
+            [] for _ in range(min(n, len(chunks)))
+        ]
+        loads = [0] * len(shares)
+        for chunk in chunks:
+            lightest = loads.index(min(loads))
+            shares[lightest].append(chunk)
+            loads[lightest] += cls._chunk_load(chunk)
+        return shares
 
     @staticmethod
     def available_cpus() -> int:
@@ -1126,7 +1177,7 @@ class SimulationCampaign:
     ) -> List[List[CampaignItem]]:
         """Items to resubmit after a pool break, poison items quarantined.
 
-        A broken pool loses *every* in-flight chunk, not just the one
+        A broken pool loses *every* in-flight share, not just the one
         whose worker died, so the culprit cannot be identified from the
         break alone.  Each lost item is charged one crash and resubmitted
         as a singleton chunk; :meth:`_run_pool` then switches to
@@ -1161,20 +1212,28 @@ class SimulationCampaign:
         return requeued
 
     def _run_pool(self, chunks: List[List[CampaignItem]], effective: int) -> None:
-        """Fan chunks out over a process pool, surviving dead workers.
+        """Fan chunks out over a process pool, one share per worker.
 
-        A worker killed mid-chunk (OOM, segfault, an injected crash)
+        The LPT-ordered chunks are split into per-worker shares
+        (:meth:`_shares`); each worker runs its share through
+        :meth:`CampaignWorkerState.run_chunks` — the serial path's one
+        joint solve — so same-topology lanes still stack across the
+        chunks of a share.  A share's outcomes commit, chunk by chunk,
+        when the share returns: that is the pool's checkpoint.
+
+        A worker killed mid-share (OOM, segfault, an injected crash)
         breaks the whole ``ProcessPoolExecutor``; the executor cannot be
-        reused, so the pool is rebuilt and the lost chunks re-executed
-        (see :meth:`_requeue_lost` for the poison bookkeeping).  Chunks
-        that completed before the break stay committed either way.
+        reused, so the pool is rebuilt and the items of every lost share
+        re-executed as singleton chunks (see :meth:`_requeue_lost` for
+        the poison bookkeeping).  Shares that completed before the break
+        stay committed either way.
 
         After the first break the run switches to *isolation mode*: one
-        chunk per pool.  A shared break cannot tell the poison item from
-        innocent chunks that happened to be in flight, so the first
-        charge is collective — but every later charge must be precise,
-        or a fast-crashing poison item would repeatedly drag its
-        neighbours over the quarantine threshold.  Isolation pays one
+        single-chunk share per pool.  A shared break cannot tell the
+        poison item from innocent shares that happened to be in flight,
+        so the first charge is collective — but every later charge must
+        be precise, or a fast-crashing poison item would repeatedly drag
+        its neighbours over the quarantine threshold.  Isolation pays one
         pool spin-up per remaining chunk, which only matters on the
         already-rare crash path.
         """
@@ -1193,49 +1252,30 @@ class SimulationCampaign:
                 initargs=self._worker_initargs(),
             ) as pool:
                 futures = {
-                    pool.submit(_run_chunk_worker, chunk): chunk
-                    for chunk in batch
+                    pool.submit(_run_share_worker, share): share
+                    for share in self._shares(batch, effective)
                 }
                 for future in as_completed(futures):
                     try:
-                        outcomes, telemetry = future.result()
+                        share_outcomes, telemetry = future.result()
                     except BrokenExecutor:
-                        lost.append(futures[future])
+                        lost.extend(futures[future])
                         continue
                     _absorb_telemetry(telemetry)
-                    self._commit(outcomes)
+                    for outcomes in share_outcomes:
+                        self._commit(outcomes)
             if lost:
                 isolate = True
                 pending = self._requeue_lost(lost, crash_counts) + pending
 
     def _run_serial(self, chunks: List[List[CampaignItem]]) -> None:
-        """Serial execution: one solve call over every chunk.
+        """Serial execution: :meth:`CampaignWorkerState.run_chunks` in-process.
 
-        All chunks are prepared first (cheap: circuit building and lane
-        specs), then solved in a single call — on the batched driver,
-        lanes of the same topology stack across chunk boundaries, so e.g.
-        the SNM butterfly sweeps of every array size iterate as one
-        stacked Newton system.  Outcomes still commit chunk by chunk, in
-        LPT order; if preparation dies mid-campaign the chunks prepared
-        before the failure are solved and committed before the error
-        propagates.
+        Every chunk is prepared, then all are solved in one call; outcomes
+        commit chunk by chunk, in LPT order, after that solve.
         """
-        state = self._local_state
-        prepared: List[list] = []
-
-        def flush() -> None:
-            for outcomes in state.finish_chunks(prepared):
-                self._commit(outcomes)
-            prepared.clear()
-
-        try:
-            for chunk in chunks:
-                with span("campaign.prepare", items=len(chunk)):
-                    prepared.append(state.prepare_chunk(chunk))
-        except BaseException:
-            flush()
-            raise
-        flush()
+        for outcomes in self._local_state.run_chunks(chunks):
+            self._commit(outcomes)
 
     def run(
         self,
@@ -1245,13 +1285,14 @@ class SimulationCampaign:
     ) -> CampaignResults:
         """Execute the campaign and return every record in work-list order.
 
-        ``workers`` > 1 fans the chunks out over a process pool; the
-        records are identical to a serial run (everything downstream of the
-        corner search is a deterministic function of the item).  Completed
-        items — from the in-memory memo or the disk store — are skipped,
-        and finished chunks are checkpointed as they complete, so an
-        interrupted or failing campaign resumes from the last finished
-        chunk rather than from the previous run.
+        ``workers`` > 1 fans the chunks out over a process pool, one share
+        of chunks per worker; the records are identical to a serial run
+        (everything downstream of the corner search is a deterministic
+        function of the item).  Completed items — from the in-memory memo
+        or the disk store — are skipped, and finished chunks are
+        checkpointed after each joint solve (the serial run's one, or a
+        worker's share), so an interrupted or failing campaign resumes
+        from the last checkpoint rather than from the previous run.
 
         ``workers`` is a request, not a mandate: by default it is clamped
         to the CPUs the process may run on (``-j``-style semantics), and

@@ -141,6 +141,36 @@ class TestWorkItems:
         with pytest.raises(CampaignError):
             CampaignScenario(vss_strap_interval_cells=0)
 
+    def test_pool_shares_partition_the_lpt_chunks(self, node):
+        scenarios = scenario_grid(
+            overlay_budgets_nm=(3.0, 8.0), methods=("backward-euler", "trapezoidal")
+        )
+        campaign = SimulationCampaign(
+            node, doe=StudyDOE(array_sizes=(16, 64, 256)), scenarios=scenarios
+        )
+        chunks = campaign._chunks(campaign.work_items())
+        load = SimulationCampaign._chunk_load
+        assert len(chunks) == 6
+        for n in (1, 2, 3, 6, 7):
+            shares = SimulationCampaign._shares(chunks, n)
+            assert len(shares) == min(n, len(chunks))
+            assert shares == SimulationCampaign._shares(chunks, n)  # deterministic
+            # Every chunk lands in exactly one share, each share in LPT order.
+            order = {id(chunk): i for i, chunk in enumerate(chunks)}
+            placed = [order[id(chunk)] for share in shares for chunk in share]
+            assert sorted(placed) == list(range(len(chunks)))
+            for share in shares:
+                positions = [order[id(chunk)] for chunk in share]
+                assert positions == sorted(positions)
+            # Greedy balance: the spread never exceeds the heaviest chunk.
+            loads = [sum(load(chunk) for chunk in share) for share in shares]
+            assert max(loads) - min(loads) <= load(chunks[0])
+        two = SimulationCampaign._shares(chunks, 2)
+        # Chunk loads 2x(256*k), 2x(64*k), 2x(16*k): the 256 chunks split.
+        assert [load(share[0]) for share in two] == [load(chunks[0]), load(chunks[1])]
+        assert sum(load(c) for c in two[0]) == sum(load(c) for c in two[1])
+        assert SimulationCampaign._shares([], 2) == []
+
     def test_duplicate_scenario_labels_rejected(self, node):
         with pytest.raises(CampaignError, match="unique"):
             SimulationCampaign(

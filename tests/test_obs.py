@@ -474,6 +474,14 @@ class TestPoolTelemetryParity:
         assert chunk_pids and os.getpid() not in chunk_pids
         assert not list(tmp_path.glob("*.workers"))
 
+        # One joint solve per worker share, each stacking its chunks' lanes.
+        solves = [r for r in pool[2] if r["name"] == "campaign.joint_solve"]
+        assert len(solves) == 2
+        assert os.getpid() not in {r["pid"] for r in solves}
+        assert sum(r["args"]["chunks"] for r in solves) == len(
+            campaign._chunks(campaign.work_items())
+        )
+
 
 # -- the report CLI verb -----------------------------------------------------------------
 

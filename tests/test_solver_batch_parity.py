@@ -27,15 +27,24 @@ import pytest
 from repro.circuit.batch import (
     OperatingPointLaneSpec,
     SweepLaneSpec,
+    _run_dc_lanes,
     batch_dc_operating_points,
     batch_dc_sweep,
     batch_run_transients,
     run_lane_scalar,
     solve_prepared,
 )
-from repro.circuit.dc import ConvergenceError, NewtonOptions, solver_rescue
+from repro.circuit.dc import (
+    ConvergenceError,
+    NewtonOptions,
+    _AssemblerCache,
+    _drive,
+    _solve_target,
+    _source_vector_with_overrides,
+    solver_rescue,
+)
 from repro.circuit.transient import TransientSolver
-from repro.circuit.mna import reset_solver_stats, solver_stats
+from repro.circuit.mna import MNAAssembler, reset_solver_stats, solver_stats
 from repro.core.campaign import SimulationCampaign, scenario_grid
 from repro.core.operations import OperationSimulators
 from repro.core.study import StudyDOE
@@ -154,6 +163,38 @@ class TestSweepLaneParity:
         np.testing.assert_array_equal(transient.times_s, scalar_transient.times_s)
         for name, wave in scalar_transient.voltages.items():
             np.testing.assert_array_equal(transient.voltages[name], wave)
+
+    def test_tolerances_travel_with_each_target(self, sims):
+        # One lane asks for a loose solve and then a tight one from the
+        # loose answer.  The lockstep tick must judge the first target
+        # with its own tolerance and then leave the freshly installed
+        # second target alone, exactly as the scalar driver does.
+        (lane,) = sims.margins._prepare_butterfly(16, mode="hold").lanes[:1]
+        loose = NewtonOptions(abs_tolerance_a=1e-5)
+        tight = NewtonOptions(abs_tolerance_a=1e-13)
+
+        def two_targets(spec, cache):
+            assembler = cache.base
+            b = _source_vector_with_overrides(
+                assembler, {spec.source_name: float(spec.values[0])}
+            )
+            # Start off the stable point so the loose solve iterates.
+            x0 = assembler.initial_solution(
+                dict(spec.initial_voltages, q=0.2, qb=0.5)
+            )
+            first = yield assembler, b, x0, loose
+            second = yield assembler, b, first[0], tight
+            return first[1:3], second[0], second[1:4]
+
+        def cache_for(spec):
+            return _AssemblerCache(MNAAssembler(spec.circuit, gmin_s=spec.gmin_s))
+
+        (batched,) = _run_dc_lanes([lane], two_targets)
+        scalar = _drive(two_targets(lane, cache_for(lane)), _solve_target)
+        assert not isinstance(batched, BaseException)
+        assert batched[0] == scalar[0]
+        np.testing.assert_array_equal(batched[1], scalar[1])
+        assert batched[2] == scalar[2]
 
 
 class TestPreparedMeasurementParity:
