@@ -6,10 +6,11 @@ through both the batched (vectorised) pipeline and the scalar per-sample
 oracle, checks that the two agree element-wise, and writes ``BENCH_mc.json``.
 
 ``--suite service`` starts the HTTP experiment server on an ephemeral
-port and times full submit→poll→fetch round trips of the smoke spec:
-cold (computed), warm (served from the content-addressed result cache)
-and N concurrent clients hammering the cached entry, writing
-``BENCH_service.json`` (warm-cache speedup floor: 10x).
+port and times ``ExperimentClient.run`` of the smoke spec — one
+``POST ?wait=`` exchange on a kept-alive connection, the round trip
+users get: cold (computed), warm (served from the content-addressed
+result cache) and N concurrent clients hammering the cached entry,
+writing ``BENCH_service.json`` (warm-cache speedup floor: 10x).
 
 ``--suite sim`` times the simulated half (Fig. 4 / Tables II–III): the
 sequential per-experiment pipelines (fresh ``WorstCaseStudy`` +
@@ -550,14 +551,15 @@ def run_service_bench(
     """Cold vs warm-cache latency and concurrent submission throughput.
 
     Starts a real :class:`~repro.service.server.ExperimentServer` on an
-    ephemeral port with a fresh cache, then measures — all through full
-    HTTP round trips (submit → poll → fetch JSON result):
+    ephemeral port with a fresh cache, then measures — all through
+    :meth:`ExperimentClient.run` (one ``POST ?wait=`` exchange returning
+    the JSON result, deserialised):
 
     * ``cold``  — the first submission of ``examples/specs/smoke.json``
       (computes the campaign);
     * ``warm``  — ``warm_repeats`` resubmissions of the identical spec
       (served from the content-addressed cache without recomputation);
-    * ``throughput`` — ``n_clients`` threads each submitting the cached
+    * ``throughput`` — ``n_clients`` threads each running the cached
       spec ``requests_per_client`` times, as submissions per second.
     """
     import statistics
@@ -568,26 +570,22 @@ def run_service_bench(
 
     spec_path = Path(__file__).resolve().parent.parent / "examples" / "specs" / "smoke.json"
 
-    def round_trip(client: ExperimentClient) -> tuple:
+    def round_trip(client: ExperimentClient) -> float:
         start = time.perf_counter()
-        ticket = client.submit(spec_path)
-        client.wait(ticket["id"], timeout_s=600.0, poll_s=0.02)
-        client.result_text(ticket["id"], fmt="json")
-        return time.perf_counter() - start, ticket
+        client.run(spec_path, timeout_s=600.0, poll_s=0.02)
+        return time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache_dir:
-        with ExperimentServer(cache_dir=cache_dir, workers=2) as server:
-            client = ExperimentClient(server.url)
-
-            cold_wall, cold_ticket = round_trip(client)
-            assert not cold_ticket["cached"], "first submission must compute"
+        with ExperimentServer(cache_dir=cache_dir, workers=2) as server, \
+                ExperimentClient(server.url) as client:
+            cold_wall = round_trip(client)
+            assert client.health()["queue"]["cache_hits"] == 0, "first submission must compute"
             print(f"service cold submit         {cold_wall*1e3:9.2f} ms")
 
-            warm_walls = []
-            for _ in range(warm_repeats):
-                wall, ticket = round_trip(client)
-                assert ticket["cached"], "resubmission must hit the cache"
-                warm_walls.append(wall)
+            warm_walls = [round_trip(client) for _ in range(warm_repeats)]
+            assert client.health()["queue"]["cache_hits"] == warm_repeats, (
+                "every resubmission must hit the cache"
+            )
             warm_median = statistics.median(warm_walls)
             print(
                 f"service warm submit         {warm_median*1e3:9.2f} ms"
@@ -600,9 +598,11 @@ def run_service_bench(
                 worker = ExperimentClient(server.url)
                 try:
                     for _ in range(requests_per_client):
-                        worker.result_text(worker.submit(spec_path)["id"], fmt="json")
+                        worker.run(spec_path)
                 except Exception as exc:  # pragma: no cover - bench diagnostics
                     errors.append(f"{type(exc).__name__}: {exc}")
+                finally:
+                    worker.close()
 
             threads = [threading.Thread(target=hammer) for _ in range(n_clients)]
             start = time.perf_counter()

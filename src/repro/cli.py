@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--wait",
         action="store_true",
-        help="poll until the job finishes and print its result",
+        help="wait for the job to finish and print its result",
     )
     submit_parser.add_argument(
         "--timeout",
@@ -968,14 +968,12 @@ def _submit(args: argparse.Namespace) -> str:
     from .service.client import DEFAULT_URL, ExperimentClient
 
     spec = load_spec(Path(args.spec))
-    client = ExperimentClient(args.url or DEFAULT_URL, max_retries=args.retries)
-    ticket = client.submit(spec)
-    if not args.wait:
+    with ExperimentClient(args.url or DEFAULT_URL, max_retries=args.retries) as client:
+        if args.wait:
+            return client.run_text(spec, fmt=args.format, timeout_s=args.timeout)
         import json as _json
 
-        return _json.dumps(ticket, indent=2)
-    client.wait(ticket["id"], timeout_s=args.timeout)
-    return client.result_text(ticket["id"], fmt=args.format)
+        return _json.dumps(client.submit(spec), indent=2)
 
 
 # -- dispatch ----------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Thin Python client of the experiment server (stdlib ``urllib``).
+"""Thin Python client of the experiment server (stdlib ``http.client``).
 
 :class:`ExperimentClient` speaks the JSON protocol of
 :mod:`repro.service.server` and is what the CLI's ``repro submit`` verb
@@ -6,10 +6,23 @@ drives::
 
     from repro.service import ExperimentClient
 
-    client = ExperimentClient("http://127.0.0.1:8765")
-    ticket = client.submit("examples/specs/smoke.json")
-    status = client.wait(ticket["id"])
-    print(client.result_text(ticket["id"], fmt="csv"))
+    with ExperimentClient("http://127.0.0.1:8765") as client:
+        result = client.run("examples/specs/smoke.json")          # a ResultSet
+        csv_text = client.run_text("examples/specs/smoke.json", fmt="csv")
+
+:meth:`~ExperimentClient.run` is one HTTP exchange: ``POST
+/v1/experiments?wait=S`` submits the spec and the server answers with the
+rendered result as soon as the job is done.  A job still computing when
+the wait budget ``S`` runs out answers ``202`` with its status, and the
+client falls back to polling ``GET /v1/experiments/<id>`` and fetching
+``.../result``.  ``S`` stays below the socket timeout, so a long job
+never looks like a dead server.  The lower-level calls (``submit``,
+``status``, ``wait``, ``result_text``) remain for fire-and-forget use.
+
+Each client keeps one persistent HTTP/1.1 connection per thread and
+reuses it across calls; :meth:`~ExperimentClient.close` (or leaving a
+``with`` block) closes the calling thread's.  A connection the server
+has closed while idle is noticed before the next request and reopened.
 
 Transport failures (connection refused, HTTP error statuses) surface as
 :class:`ServiceError` with the server's one-line ``error`` message when
@@ -17,22 +30,23 @@ one was sent, so CLI callers can turn them into clean exit-2 messages.
 
 Connection-level failures — refused/reset connections, a server that
 died mid-response, socket timeouts — are retried ``max_retries`` times
-with capped exponential backoff before giving up.  Every protocol call
-is idempotent from the server's point of view (submission is
-content-addressed: re-POSTing a spec coalesces onto the in-flight
-computation or hits the cache), so blind retry is safe.  HTTP *error
-responses* are never retried: the server answered, and the answer would
-not change.
+with capped exponential backoff before giving up, each on a fresh
+connection.  Every protocol call is idempotent from the server's point
+of view (submission is content-addressed: re-POSTing a spec coalesces
+onto the in-flight computation or hits the cache), so blind retry is
+safe.  HTTP *error responses* are never retried: the server answered,
+and the answer would not change.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
 from ..api import ResultSet, SpecSource, load_spec
 
@@ -51,16 +65,24 @@ class ServiceError(RuntimeError):
 
 
 #: Failures worth retrying: the connection itself broke, so the server
-#: either never saw the request or never finished answering it.
-#: ``urllib.error.HTTPError`` is deliberately absent (it subclasses
-#: ``URLError`` but means "the server responded") and is handled first.
-_RETRYABLE_ERRORS = (
-    urllib.error.URLError,
-    http.client.HTTPException,
-    ConnectionError,
-    TimeoutError,
-    OSError,
-)
+#: either never saw the request or never finished answering it
+#: (``ConnectionError`` and socket timeouts are ``OSError`` subclasses).
+_RETRYABLE_ERRORS = (http.client.HTTPException, OSError)
+
+
+def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle kept-alive socket was closed by the server.
+
+    Between requests nothing may arrive on the socket, so readability
+    means end-of-file (or junk): either way the connection is unusable.
+    """
+    if connection.sock is None:
+        return False
+    try:
+        readable, _, _ = select.select([connection.sock], [], [], 0)
+    except (OSError, ValueError):
+        return True
+    return bool(readable)
 
 
 class ExperimentClient:
@@ -87,59 +109,87 @@ class ExperimentClient:
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
         self.backoff_s = float(backoff_s)
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ServiceError(f"expected an http://host[:port] server URL, got {base_url!r}")
+        self._address = (parts.hostname, parts.port or 80)
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # -- transport ----------------------------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's kept-alive connection (opened on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                *self._address, timeout=self.timeout_s
+            )
+            self._local.connection = connection
+        elif _closed_by_peer(connection):
+            connection.close()  # the next request reconnects
+        return connection
+
+    def close(self) -> None:
+        """Close this thread's connection (the next call reopens one)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ExperimentClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _exchange(
+        self,
+        path: str,
+        method: str = "GET",
+        body: Optional[str] = None,
+    ) -> Tuple[int, str]:
+        """One request/response: (status, text) for any HTTP answer."""
+        attempts = 1 + self.max_retries
+        last_reason = "unknown error"
+        for attempt in range(attempts):
+            if attempt:
+                time.sleep(min(self.backoff_s * 2 ** (attempt - 1), 2.0))
+            connection = self._connection()
+            try:
+                connection.request(
+                    method,
+                    f"{self._prefix}{path}",
+                    body=None if body is None else body.encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                text = response.read().decode("utf-8", errors="replace")
+            except _RETRYABLE_ERRORS as exc:
+                connection.close()
+                last_reason = str(exc) or type(exc).__name__
+                continue
+            return response.status, text
+        raise ServiceError(
+            f"cannot reach the experiment server at {self.base_url} "
+            f"after {attempts} attempt{'s' if attempts != 1 else ''}: {last_reason}"
+        )
 
     def _request(
         self,
         path: str,
         method: str = "GET",
         body: Optional[str] = None,
-    ) -> tuple:
-        attempts = 1 + self.max_retries
-        last_reason = "unknown error"
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(min(self.backoff_s * 2 ** (attempt - 1), 2.0))
-            request = urllib.request.Request(
-                f"{self.base_url}{path}",
-                data=None if body is None else body.encode("utf-8"),
-                method=method,
-                headers={"Content-Type": "application/json"},
-            )
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout_s
-                ) as response:
-                    return response.status, response.read().decode("utf-8")
-            except urllib.error.HTTPError as exc:
-                # The server responded; retrying would only repeat the
-                # same answer.  Surface its error message immediately.
-                text = exc.read().decode("utf-8", errors="replace")
-                try:
-                    message = json.loads(text).get("error", text)
-                except json.JSONDecodeError:
-                    message = text or str(exc)
-                raise ServiceError(
-                    f"server returned {exc.code} for {method} {path}: {message}",
-                    status=exc.code,
-                ) from None
-            except _RETRYABLE_ERRORS as exc:
-                last_reason = str(getattr(exc, "reason", None) or exc) or type(exc).__name__
-                continue
-        raise ServiceError(
-            f"cannot reach the experiment server at {self.base_url} "
-            f"after {attempts} attempt{'s' if attempts != 1 else ''}: {last_reason}"
-        )
+    ) -> Tuple[int, str]:
+        status, text = self._exchange(path, method=method, body=body)
+        if status >= 400:
+            # The server responded; retrying would only repeat the same
+            # answer.  Surface its error message immediately.
+            raise _http_error(status, method, path, text)
+        return status, text
 
     def _request_json(self, path: str, method: str = "GET", body: Optional[str] = None) -> Dict[str, Any]:
         status, text = self._request(path, method=method, body=body)
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(
-                f"server sent invalid JSON for {method} {path}: {exc}", status=status
-            ) from None
+        return _parse_json(text, method, path, status)
 
     # -- protocol -----------------------------------------------------------------------
 
@@ -173,9 +223,7 @@ class ExperimentClient:
             if status["state"] == "done":
                 return status
             if status["state"] in ("failed", "cancelled"):
-                raise ServiceError(
-                    f"job {job_id} {status['state']}: {status.get('error') or ''}".rstrip(": ")
-                )
+                raise _job_error(status)
             if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"timed out after {timeout_s:g}s waiting for job {job_id} "
@@ -196,6 +244,39 @@ class ExperimentClient:
         """The finished job's result deserialised back into a ResultSet."""
         return ResultSet.from_json(self.result_text(job_id, fmt="json"))
 
+    def run_text(
+        self,
+        spec: SpecSource,
+        fmt: str = "json",
+        timeout_s: float = 300.0,
+        poll_s: float = 0.1,
+    ) -> str:
+        """Submit and return the rendered result, in one exchange when it can.
+
+        The server waits for the job inside the ``POST`` for up to half
+        the socket timeout (or ``timeout_s``, if shorter); a job still
+        pending after that is polled to completion and then fetched.
+        Raises :class:`ServiceError` for a failed or cancelled job and
+        when ``timeout_s`` runs out.
+        """
+        deadline = time.monotonic() + timeout_s
+        document = load_spec(spec).to_json(indent=None)
+        wait_s = max(0.0, min(timeout_s, self.timeout_s / 2.0))
+        path = f"/v1/experiments?wait={wait_s:.3f}&format={fmt}"
+        code, text = self._exchange(path, method="POST", body=document)
+        if code == 200:
+            return text
+        if code == 202:
+            # The job outlived the inline wait: poll it to the end, then fetch.
+            job_id = _parse_json(text, "POST", path, code)["id"]
+            self.wait(job_id, timeout_s=max(0.0, deadline - time.monotonic()), poll_s=poll_s)
+            return self.result_text(job_id, fmt=fmt)
+        if code in (409, 500):
+            status = _parse_json(text, "POST", path, code)
+            if "state" in status:  # the job was cancelled / failed
+                raise _job_error(status)
+        raise _http_error(code, "POST", path, text)
+
     def run(
         self,
         spec: SpecSource,
@@ -203,6 +284,33 @@ class ExperimentClient:
         poll_s: float = 0.1,
     ) -> ResultSet:
         """Submit, wait and fetch in one call (the remote twin of ``api.run``)."""
-        ticket = self.submit(spec)
-        self.wait(ticket["id"], timeout_s=timeout_s, poll_s=poll_s)
-        return self.result_set(ticket["id"])
+        return ResultSet.from_json(
+            self.run_text(spec, fmt="json", timeout_s=timeout_s, poll_s=poll_s)
+        )
+
+
+def _parse_json(text: str, method: str, path: str, status: int) -> Dict[str, Any]:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ServiceError(
+            f"server sent invalid JSON for {method} {path}: {exc}", status=status
+        ) from None
+
+
+def _http_error(status: int, method: str, path: str, text: str) -> ServiceError:
+    """An HTTP error answer, carrying the server's ``error`` message if sent."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        payload = None
+    message = payload.get("error", text) if isinstance(payload, dict) else text
+    return ServiceError(
+        f"server returned {status} for {method} {path}: {message}", status=status
+    )
+
+
+def _job_error(status: Dict[str, Any]) -> ServiceError:
+    return ServiceError(
+        f"job {status['id']} {status['state']}: {status.get('error') or ''}".rstrip(": ")
+    )

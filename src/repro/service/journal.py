@@ -3,10 +3,12 @@
 PR 5's queue kept every job in memory, so a crash (or a plain restart)
 silently lost all submitted work.  :class:`JobJournal` fixes that with
 the smallest durable structure that can: one JSONL file, appended and
-fsynced *before* a submission is dispatched, appended again when the job
-reaches a terminal state.  On restart, :meth:`replay` pairs the two
-event streams and returns exactly the submissions that never finished —
-what the queue must re-execute for ``kill -9`` mid-run to lose nothing.
+fsynced *before* a computing submission is dispatched, appended again
+when the job reaches a terminal state.  On restart, :meth:`replay` pairs
+the two event streams and returns exactly the submissions that never
+finished — what the queue must re-execute for ``kill -9`` mid-run to
+lose nothing.  Only work that could be lost is journaled: a cache hit is
+born ``done`` and writes no event at all.
 
 Design notes:
 
@@ -26,9 +28,9 @@ Design notes:
 * **Spec fingerprints ride along** so operators can grep the WAL for an
   experiment without parsing the embedded spec documents.
 
-Durability is one ``fsync`` per event.  At the experiment queue's
-request rates (solves take seconds; appends take microseconds) that is
-noise; it is the property the chaos CI job kills a live server to prove.
+Durability is one ``fsync`` per event, two per computed submission.
+Next to a solve that is noise; it is the property the chaos CI job kills
+a live server to prove.
 """
 
 from __future__ import annotations

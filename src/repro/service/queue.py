@@ -17,11 +17,16 @@ result / cancel semantics on top of :func:`repro.api.run`:
   ``done`` and marked ``cached`` — and absorbs fresh results for the
   next submission;
 * an optional :class:`~repro.service.journal.JobJournal` makes the queue
-  durable: every submission is journaled (fsynced) before dispatch and
-  marked terminal when it settles, and :meth:`ExperimentQueue.recover`
+  durable: every submission that computes (or coalesces onto a
+  computation) is journaled (fsynced) before dispatch and marked
+  terminal when it settles, and :meth:`ExperimentQueue.recover`
   resubmits whatever a dead process left unfinished — completed work
   re-serves from the cache, so a ``kill -9`` costs at most the jobs that
-  were mid-solve, re-executed;
+  were mid-solve, re-executed.  A cache hit is born ``done`` with
+  nothing to recover, so it writes no journal record;
+* :meth:`ExperimentQueue.wait` blocks until a job is terminal by any
+  route — done, failed, deadline expiry or cancel — which is what the
+  server's inline ``POST ...?wait=`` answer waits on;
 * an optional per-job deadline (``job_timeout_s``) fails runaway jobs so
   one pathological spec cannot pin a worker forever, and
   :meth:`ExperimentQueue.drain` waits for in-flight work during a
@@ -33,7 +38,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures import thread as _futures_thread
 from dataclasses import dataclass, field
@@ -64,6 +69,14 @@ class JobState:
 
     ALL = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
     TERMINAL = (DONE, FAILED, CANCELLED)
+
+
+#: The lifetime counter each terminal state increments.
+_TERMINAL_COUNTERS = {
+    JobState.DONE: "completed",
+    JobState.FAILED: "failed",
+    JobState.CANCELLED: "cancelled",
+}
 
 
 @dataclass
@@ -131,6 +144,8 @@ class ExperimentQueue:
         # completed future invoke the settle callback synchronously in
         # the calling thread, which may already hold this lock.
         self._lock = threading.RLock()
+        #: Notified (under ``_lock``) whenever a job reaches a terminal state.
+        self._settled = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._futures: Dict[str, Future] = {}          # job id -> shared future
         self._inflight: Dict[str, Future] = {}          # fingerprint -> future
@@ -177,21 +192,20 @@ class ExperimentQueue:
             )
             self._jobs[job.id] = job
             self._counters["submitted"] += 1
-            # WAL semantics: the submission is durable *before* anything
-            # observable happens, so a crash at any later point leaves a
-            # journaled obligation that recovery will honour.
-            if self.journal is not None:
-                job.journal_token = self.journal.record_submitted(fingerprint, spec)
 
             if hit is not None:
-                job.state = JobState.DONE
+                # Born done: nothing a crash could lose, so no WAL record.
                 job.cached = True
-                job.result = hit
-                job.finished_at = time.time()
                 self._counters["cache_hits"] += 1
-                self._counters["completed"] += 1
-                self._journal_terminal(job)
+                self._finish(job, JobState.DONE, result=hit)
                 return self._snapshot(job)
+
+            # WAL semantics: a submission that computes is durable
+            # *before* anything observable happens, so a crash at any
+            # later point leaves a journaled obligation that recovery
+            # will honour.
+            if self.journal is not None:
+                job.journal_token = self.journal.record_submitted(fingerprint, spec)
 
             future = self._inflight.get(fingerprint)
             if future is not None:
@@ -244,24 +258,39 @@ class ExperimentQueue:
                 job = self._jobs.get(job_id)
                 if job is None or job.state in JobState.TERMINAL:
                     return
-                job.finished_at = time.time()
                 if future.cancelled():
-                    job.state = JobState.CANCELLED
-                    self._counters["cancelled"] += 1
+                    self._finish(job, JobState.CANCELLED)
                 else:
                     error = future.exception()
                     if error is not None:
-                        job.state = JobState.FAILED
-                        job.error = f"{type(error).__name__}: {error}"
-                        self._counters["failed"] += 1
+                        self._finish(
+                            job, JobState.FAILED, error=f"{type(error).__name__}: {error}"
+                        )
                     else:
-                        job.state = JobState.DONE
-                        job.result = future.result()
-                        self._counters["completed"] += 1
-                self._journal_terminal(job)
+                        self._finish(job, JobState.DONE, result=future.result())
                 self._release_inflight(job.fingerprint, job_id)
 
         return settle
+
+    def _finish(
+        self,
+        job: Job,
+        state: str,
+        error: Optional[str] = None,
+        result: Optional[ResultSet] = None,
+    ) -> None:
+        """Move ``job`` to a terminal state (caller holds the lock).
+
+        Counts it, settles its journal obligation and wakes every
+        :meth:`wait` — the one place a job becomes terminal.
+        """
+        job.state = state
+        job.error = error
+        job.result = result
+        job.finished_at = time.time()
+        self._counters[_TERMINAL_COUNTERS[state]] += 1
+        self._journal_terminal(job)
+        self._settled.notify_all()
 
     def _journal_terminal(self, job: Job) -> None:
         if self.journal is None or job.journal_token is None:
@@ -302,12 +331,12 @@ class ExperimentQueue:
                 job = self._jobs.get(job_id)
                 if job is None or job.state in JobState.TERMINAL:
                     continue
-                job.state = JobState.FAILED
-                job.error = f"deadline exceeded after {self.job_timeout_s:g} s"
-                job.finished_at = time.time()
-                self._counters["failed"] += 1
                 self._counters["timeouts"] += 1
-                self._journal_terminal(job)
+                self._finish(
+                    job,
+                    JobState.FAILED,
+                    error=f"deadline exceeded after {self.job_timeout_s:g} s",
+                )
                 self._futures.pop(job_id, None)
             self._inflight.pop(fingerprint, None)
             self._inflight_jobs.pop(fingerprint, None)
@@ -330,40 +359,37 @@ class ExperimentQueue:
         with self._lock:
             return self._job(job_id).to_status()
 
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Job:
+        """A snapshot of the job once terminal, or when ``timeout`` elapses.
+
+        Returns as soon as the job is terminal by any route — done,
+        failed, deadline expiry or cancel — never waiting on a shared
+        computation that an expired or cancelled job left running.
+        ``timeout=0`` polls; ``None`` waits indefinitely.  Raises
+        :class:`JobError` for unknown ids.
+        """
+        with self._settled:
+            job = self._job(job_id)
+            self._settled.wait_for(lambda: job.state in JobState.TERMINAL, timeout)
+            return self._snapshot(job)
+
     def result(self, job_id: str, timeout: Optional[float] = None) -> ResultSet:
         """The job's ResultSet, waiting up to ``timeout`` for completion.
 
         ``timeout=0`` polls; a job that failed re-raises its error as
-        :class:`JobError`.
+        :class:`JobError`, and one still pending when ``timeout`` elapses
+        raises :class:`concurrent.futures.TimeoutError`.
         """
-        with self._lock:
-            job = self._job(job_id)
-            if job.state == JobState.DONE and job.result is not None:
-                return job.result
-            if job.state == JobState.FAILED:
-                raise JobError(f"job {job_id} failed: {job.error}")
-            if job.state == JobState.CANCELLED:
-                raise JobError(f"job {job_id} was cancelled")
-            future = self._futures.get(job_id)
-        if future is None:
-            raise JobError(f"job {job_id} has no pending computation")
-        try:
-            try:
-                result = future.result(timeout=timeout)
-            finally:
-                # The future wakes its waiters before it runs its done
-                # callbacks; settle here so status() agrees on return.
-                if future.done():
-                    self._make_settler(job_id)(future)
-        except CancelledError:
-            raise JobError(f"job {job_id} was cancelled") from None
-        except FutureTimeoutError:
-            # Not the builtin TimeoutError before Python 3.11; re-raise so
-            # "still computing" never masquerades as "computation failed".
-            raise
-        except Exception as exc:
-            raise JobError(f"job {job_id} failed: {type(exc).__name__}: {exc}") from exc
-        return result
+        job = self.wait(job_id, timeout)
+        if job.state == JobState.DONE:
+            return job.result
+        if job.state == JobState.FAILED:
+            raise JobError(f"job {job_id} failed: {job.error}")
+        if job.state == JobState.CANCELLED:
+            raise JobError(f"job {job_id} was cancelled")
+        # Not the builtin TimeoutError before Python 3.11, so "still
+        # computing" never masquerades as "computation failed".
+        raise FutureTimeoutError(f"job {job_id} is still {job.state}")
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; returns whether the submission is cancelled.
@@ -387,10 +413,7 @@ class ExperimentQueue:
                 # Other live submissions share this computation: detach
                 # this one without touching the shared future (possible
                 # even while the computation runs).
-                job.state = JobState.CANCELLED
-                job.finished_at = time.time()
-                self._counters["cancelled"] += 1
-                self._journal_terminal(job)
+                self._finish(job, JobState.CANCELLED)
                 self._release_inflight(job.fingerprint, job_id)
                 self._futures.pop(job_id, None)
                 return True

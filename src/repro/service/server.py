@@ -4,30 +4,43 @@
 interface built on :class:`http.server.ThreadingHTTPServer` — no new
 dependencies:
 
-==========================================  =============================================
-route                                       behaviour
-==========================================  =============================================
-``POST /v1/experiments``                    body = ExperimentSpec JSON; submits to the
-                                            queue, returns the job ticket (``201``, or
-                                            ``200`` when served straight from cache)
-``GET /v1/experiments/<id>``                job status (``404`` for unknown ids)
-``GET /v1/experiments/<id>/result``         the ResultSet; ``?format=json|csv|text``
-                                            (``202`` while pending, ``500`` on failure)
-``DELETE /v1/experiments/<id>``             cancel a queued job
-``GET /v1/experiments``                     every known job, newest first
-``GET /v1/healthz``                         liveness + cumulative cache/queue statistics
-                                            (restart-surviving, via the stats sidecar)
-``GET /v1/metrics``                         Prometheus text exposition of the process
-                                            metrics registry (solver, cache, queue,
-                                            failure counters, latency histograms)
-==========================================  =============================================
+================================================  =========================================
+route                                             behaviour
+================================================  =========================================
+``POST /v1/experiments``                          body = ExperimentSpec JSON; submits to the
+                                                  queue, returns the job ticket (``201``, or
+                                                  ``200`` when served straight from cache)
+``POST /v1/experiments?wait=S[&format=F]``        submits, then waits up to ``S`` seconds:
+                                                  a ``done`` job answers ``200`` with the
+                                                  ``GET .../result`` body and an
+                                                  ``X-Repro-Job: <id>`` header; otherwise the
+                                                  status JSON (``202`` pending, ``500``
+                                                  failed, ``409`` cancelled)
+``GET /v1/experiments/<id>``                      job status (``404`` for unknown ids)
+``GET /v1/experiments/<id>/result``               the ResultSet; ``?format=json|csv|text``
+                                                  (``202`` while pending, ``500`` on failure,
+                                                  ``409`` when cancelled)
+``DELETE /v1/experiments/<id>``                   cancel a queued job
+``GET /v1/experiments``                           every known job, newest first
+``GET /v1/healthz``                               liveness + cumulative cache/queue
+                                                  statistics (restart-surviving, via the
+                                                  stats sidecar)
+``GET /v1/metrics``                               Prometheus text exposition of the process
+                                                  metrics registry (solver, cache, queue,
+                                                  failure counters, latency histograms)
+================================================  =========================================
 
-``GET .../result`` always serves the serialised twin of the ResultSet
-(records + metadata, no typed payload), so responses are byte-identical
-whether the job computed or hit the cache.  The trade-off: campaign
-CSV/text use the generic record layout of the serialised form rather
-than ``repro run``'s typed table rendering — the records themselves are
-identical (the parity suite pins them at ``rtol <= 1e-12``).
+Connections are HTTP/1.1 keep-alive, so a client submits and receives
+its result in one exchange on a socket it reuses; an idle connection
+closes after :attr:`_ExperimentHandler.timeout` seconds.
+
+``GET .../result`` and the inline ``?wait=`` answer always serve the
+serialised twin of the ResultSet (records + metadata, no typed payload),
+so responses are byte-identical whether the job computed or hit the
+cache.  The trade-off: campaign CSV/text use the generic record layout
+of the serialised form rather than ``repro run``'s typed table
+rendering — the records themselves are identical (the parity suite pins
+them at ``rtol <= 1e-12``).
 
 Errors are JSON objects with an ``error`` key; invalid specs come back
 as ``400`` with the one-line :class:`~repro.core.spec.SpecError` text.
@@ -38,6 +51,7 @@ mode); ``repro serve`` is the CLI front end.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -55,7 +69,7 @@ from ..obs.trace import active_tracer
 from ..testing import faults
 from .cache import ResultCache
 from .journal import JobJournal
-from .queue import ExperimentQueue, JobError, JobState
+from .queue import ExperimentQueue, Job, JobError, JobState
 from .sidecar import StatsSidecar, sidecar_path_for
 
 __all__ = ["ExperimentServer", "RESULT_FORMATS"]
@@ -79,11 +93,32 @@ def render_result(result: ResultSet, fmt: str) -> Tuple[str, str]:
     return getattr(result, method)(), content_type
 
 
+def _wait_seconds(query: Dict[str, str]) -> Optional[float]:
+    """The ``?wait=`` budget in seconds (None without one); ValueError if bad."""
+    raw = query.get("wait")
+    if raw is None:
+        return None
+    try:
+        seconds = float(raw)
+    except ValueError:
+        raise ValueError(f"wait must be a number of seconds, got {raw!r}") from None
+    if not math.isfinite(seconds) or seconds < 0.0:
+        raise ValueError(f"wait must be a finite, non-negative number, got {raw!r}")
+    return seconds
+
+
 class _ExperimentHandler(BaseHTTPRequestHandler):
-    """One request; the queue and cache hang off the server instance."""
+    """One connection's requests; the queue and cache hang off the server."""
 
     server: "_HTTPServer"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out as two writes; with Nagle's algorithm on,
+    #: the second waits for the peer's delayed ACK (~40 ms per response
+    #: on a keep-alive connection).
+    disable_nagle_algorithm = True
+    #: Seconds an idle keep-alive connection (or a stalled read) may
+    #: hold its handler thread before the server closes it.
+    timeout = 60.0
 
     # -- plumbing -----------------------------------------------------------------------
 
@@ -101,7 +136,13 @@ class _ExperimentHandler(BaseHTTPRequestHandler):
                 format += suffix.replace("%", "%%")
             super().log_message(format, *args)
 
-    def _send(self, status: int, body: str, content_type: str) -> None:
+    def _send(
+        self,
+        status: int,
+        body: str,
+        content_type: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         payload = body.encode("utf-8")
         obs_metrics.registry().inc(
             "repro_http_requests_total", method=self.command, status=status
@@ -109,18 +150,28 @@ class _ExperimentHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", f"{content_type}; charset=utf-8")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        self._send(status, json.dumps(payload, indent=2), "application/json")
+    def _send_json(
+        self,
+        status: int,
+        payload: Dict[str, Any],
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._send(status, json.dumps(payload, indent=2), "application/json", headers)
 
     def _send_error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
     def _route(self) -> Tuple[str, Dict[str, str]]:
         parsed = urlparse(self.path)
-        query = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
+        query = {
+            key: values[-1]
+            for key, values in parse_qs(parsed.query, keep_blank_values=True).items()
+        }
         return parsed.path.rstrip("/"), query
 
     def _injected_drop(self) -> bool:
@@ -140,19 +191,46 @@ class _ExperimentHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         if self._injected_drop():
             return
-        path, _ = self._route()
+        path, query = self._route()
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            self.close_connection = True
+            self._send_error(400, "invalid Content-Length header")
+            return
+        # Read the body even for a request about to be refused, so the
+        # keep-alive connection stays framed for the next request.
+        body = self.rfile.read(length)
         if path != "/v1/experiments":
             self._send_error(404, f"no POST route {path!r}")
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = self.rfile.read(length).decode("utf-8")
-            spec = load_spec(json.loads(body) if body else {})
+            text = body.decode("utf-8")
+            spec = load_spec(json.loads(text) if text else {})
         except (SpecError, ValueError, UnicodeDecodeError) as exc:
             self._send_error(400, f"invalid experiment spec: {exc}")
             return
-        job = self.server.queue.submit(spec)
-        self._send_json(200 if job.cached else 201, job.to_status())
+        fmt = query.get("format", "json")
+        try:
+            wait_s = _wait_seconds(query)
+        except ValueError as exc:
+            self._send_error(400, str(exc))
+            return
+        if wait_s is not None and fmt not in RESULT_FORMATS:
+            self._send_error(
+                400, f"unknown result format {fmt!r}; available: {sorted(RESULT_FORMATS)}"
+            )
+            return
+        queue = self.server.queue
+        job = queue.submit(spec)
+        if wait_s is None:
+            self._send_json(200 if job.cached else 201, job.to_status())
+            return
+        # The inline answer: the same bytes GET .../result would send,
+        # once the job is terminal or the wait budget is spent.
+        self._send_outcome(queue.wait(job.id, wait_s), fmt, {"X-Repro-Job": job.id})
 
     def do_GET(self) -> None:  # noqa: N802
         if self._injected_drop():
@@ -207,20 +285,25 @@ class _ExperimentHandler(BaseHTTPRequestHandler):
             self._send_error(404, str(exc))
 
     def _job_result(self, job_id: str, fmt: str) -> None:
-        queue = self.server.queue
         try:
-            status = queue.status(job_id)
+            job = self.server.queue.wait(job_id, timeout=0)
         except JobError as exc:
             self._send_error(404, str(exc))
             return
-        state = status["state"]
-        if state in (JobState.QUEUED, JobState.RUNNING):
-            self._send_json(202, status)
+        self._send_outcome(job, fmt)
+
+    def _send_outcome(
+        self, job: Job, fmt: str, headers: Optional[Dict[str, str]] = None
+    ) -> None:
+        """A done job's rendered result, else its status with the state's code."""
+        if job.state != JobState.DONE:
+            status = {
+                JobState.FAILED: 500,
+                JobState.CANCELLED: 409,
+            }.get(job.state, 202)
+            self._send_json(status, job.to_status(), headers)
             return
-        if state in (JobState.FAILED, JobState.CANCELLED):
-            self._send_json(500 if state == JobState.FAILED else 409, status)
-            return
-        result = queue.result(job_id, timeout=0)
+        result = job.result
         # Serve the serialised twin whether the job computed or hit the
         # cache, so identical experiments return identical bytes in every
         # format regardless of cache state.
@@ -231,7 +314,7 @@ class _ExperimentHandler(BaseHTTPRequestHandler):
         except SpecError as exc:
             self._send_error(400, str(exc))
             return
-        self._send(200, body, content_type)
+        self._send(200, body, content_type, headers)
 
 
 class _HTTPServer(ThreadingHTTPServer):

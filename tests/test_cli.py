@@ -452,6 +452,24 @@ class TestServiceVerbs:
             ticket = json.loads(capsys.readouterr().out)
             assert ticket["cached"] is True and ticket["state"] == "done"
 
+    def test_submit_wait_prints_the_result_route_text(self, tmp_path, capsys):
+        from repro.service.client import ExperimentClient
+        from repro.service.server import ExperimentServer
+
+        spec_path = tmp_path / "spec.json"
+        assert main(["spec", "dump", "--kind", "worst_case", "--output", str(spec_path)]) == 0
+        capsys.readouterr()
+        with ExperimentServer(cache_dir=tmp_path / "cache", workers=1) as server:
+            assert main(
+                ["submit", str(spec_path), "--url", server.url, "--wait", "--format", "csv"]
+            ) == 0
+            printed = capsys.readouterr().out
+            with ExperimentClient(server.url, timeout_s=30.0) as client:
+                ticket = client.submit(spec_path)
+                fetched = client.result_text(ticket["id"], fmt="csv")
+            assert printed == fetched + "\n"
+            assert printed.startswith("record,")
+
 
 class TestFailurePolicyVerbs:
     """The fault-tolerance surface of the CLI: --failure-policy, the

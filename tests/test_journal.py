@@ -1,7 +1,8 @@
 """Tests of the durable job journal (WAL) and queue crash recovery.
 
-The acceptance bar of the durability layer: every submission journaled
-before dispatch, torn tails tolerated, replay returns exactly the
+The acceptance bar of the durability layer: every submission that
+computes journaled before dispatch (a cache hit, born done, writes
+nothing), torn tails tolerated, replay returns exactly the
 unfinished submissions, and a queue restarted over the same journal
 (plus cache) completes every journaled job — byte-identically, because
 completed work re-serves from the content-addressed cache.
@@ -130,6 +131,26 @@ class TestQueueDurability:
             release.set()
             queue.result(job.id, timeout=5.0)
             assert wait_until(lambda: journal.outstanding_count() == 0)
+
+    def test_only_computed_submissions_are_journaled(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        cache = ResultCache(tmp_path / "cache")
+        spec = campaign_spec()
+        with ExperimentQueue(
+            workers=1, runner=tiny_result, cache=cache, journal=JobJournal(path)
+        ) as queue:
+            computed = queue.submit(spec)
+            queue.result(computed.id, timeout=5.0)
+            assert wait_until(lambda: len(path.read_text().splitlines()) == 2)
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+            assert [event["event"] for event in events] == ["submitted", "terminal"]
+            assert events[1]["state"] == JobState.DONE
+            before = path.read_bytes()
+            hit = queue.submit(spec)
+            assert hit.cached and hit.state == JobState.DONE
+            assert hit.journal_token is None
+        # Born done: nothing to recover, so the WAL is byte-unchanged.
+        assert path.read_bytes() == before
 
     def test_recover_resubmits_unfinished_jobs(self, tmp_path):
         path = tmp_path / "journal.jsonl"

@@ -2,15 +2,18 @@
 
 The acceptance bar: a cache hit returns bit-identical rows, identical
 in-flight submissions coalesce into one computation, and a full HTTP
-round trip (submit → wait → fetch) reproduces a direct ``api.run`` at
-``rtol <= 1e-12`` for at least two experiment kinds.
+round trip (one ``POST ?wait=`` exchange, or submit → wait → fetch)
+reproduces a direct ``api.run`` at ``rtol <= 1e-12`` for at least two
+experiment kinds.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -26,10 +29,11 @@ from repro.core.spec import (
     spec_fingerprint,
 )
 from repro.core.results import atomic_write_text
+from repro.obs import metrics as obs_metrics
 from repro.service.cache import ResultCache
 from repro.service.client import ExperimentClient, ServiceError
 from repro.service.queue import ExperimentQueue, JobError, JobState
-from repro.service.server import ExperimentServer
+from repro.service.server import ExperimentServer, _ExperimentHandler
 
 
 def campaign_spec(**overrides) -> ExperimentSpec:
@@ -381,7 +385,8 @@ def server(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return ExperimentClient(server.url, timeout_s=30.0)
+    with ExperimentClient(server.url, timeout_s=30.0) as connected:
+        yield connected
 
 
 class TestServerRoundTrip:
@@ -464,6 +469,120 @@ class TestServerRoundTrip:
         assert err.value.status == 404
 
 
+# -- the inline ?wait= answer -------------------------------------------------------------
+
+
+def post_wait(url, spec, query):
+    """One raw ``POST /v1/experiments?<query>``: (status, headers, body)."""
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+    try:
+        connection.request(
+            "POST", f"/v1/experiments?{query}", body=spec.to_json(indent=None).encode()
+        )
+        response = connection.getresponse()
+        return response.status, response.headers, response.read().decode("utf-8")
+    finally:
+        connection.close()
+
+
+def blocked_runner(release, started=None):
+    """A queue runner that computes nothing until ``release`` is set."""
+
+    def runner(spec):
+        if started is not None:
+            started.set()
+        release.wait(10.0)
+        return tiny_result(spec)
+
+    return runner
+
+
+def http_requests(method):
+    """Lifetime ``repro_http_requests_total`` for one method, any status."""
+    counters = obs_metrics.registry().snapshot()["counters"]
+    return sum(
+        value
+        for (name, labels), value in counters.items()
+        if name == "repro_http_requests_total" and dict(labels).get("method") == method
+    )
+
+
+class TestInlineWait:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_inline_body_equals_the_result_route_cold_and_warm(self, tmp_path, fmt):
+        spec = campaign_spec()
+        with ExperimentServer(cache_dir=tmp_path / "cache", workers=1) as server, \
+                ExperimentClient(server.url, timeout_s=30.0) as fetching:
+            for cached in (False, True):
+                status, headers, body = post_wait(server.url, spec, f"wait=60&format={fmt}")
+                assert status == 200
+                job_id = headers["X-Repro-Job"]
+                assert server.queue.status(job_id)["cached"] is cached
+                assert body == fetching.result_text(job_id, fmt=fmt)
+
+    def test_deadline_answers_failed_while_the_runner_is_still_blocked(self):
+        release, started = threading.Event(), threading.Event()
+        with ExperimentServer(workers=1, job_timeout_s=0.2) as server:
+            server.queue._runner = blocked_runner(release, started)
+            try:
+                begun = time.monotonic()
+                status, _, body = post_wait(server.url, campaign_spec(), "wait=10")
+                elapsed = time.monotonic() - begun
+                assert started.is_set() and not release.is_set()
+            finally:
+                release.set()
+        assert status == 500 and elapsed < 2.0
+        payload = json.loads(body)
+        assert payload["state"] == "failed"
+        assert "deadline exceeded" in payload["error"]
+
+    def test_pending_job_answers_202_and_run_completes_by_polling(self):
+        release = threading.Event()
+        spec = campaign_spec()
+        with ExperimentServer(workers=1) as server:
+            server.queue._runner = blocked_runner(release)
+            status, _, body = post_wait(server.url, spec, "wait=0.05")
+            assert status == 202
+            assert json.loads(body)["state"] in ("queued", "running")
+            # A 0.2 s socket timeout caps the inline wait at 0.1 s, so the
+            # client must fall back to polling the still-blocked job.
+            timer = threading.Timer(0.5, release.set)
+            gets = http_requests("GET")
+            timer.start()
+            try:
+                with ExperimentClient(server.url, timeout_s=0.2) as polling:
+                    result = polling.run(spec, timeout_s=10.0, poll_s=0.02)
+            finally:
+                timer.cancel()
+                release.set()
+            assert http_requests("GET") > gets
+        assert result.records == tiny_result(spec).records
+
+    @pytest.mark.parametrize("wait", ["-1", "abc", "nan", ""])
+    def test_malformed_wait_is_400(self, client, wait):
+        status, _, body = post_wait(client.base_url, campaign_spec(), f"wait={wait}")
+        assert status == 400
+        assert "wait must be" in json.loads(body)["error"]
+
+    def test_unknown_inline_format_is_400_before_submitting(self, client):
+        submitted = client.health()["queue"]["submitted"]
+        status, _, body = post_wait(client.base_url, campaign_spec(), "wait=1&format=yaml")
+        assert status == 400
+        assert "unknown result format" in json.loads(body)["error"]
+        assert client.health()["queue"]["submitted"] == submitted
+
+    def test_failed_job_raises_from_run(self):
+        def boom(spec):
+            raise RuntimeError("solver exploded")
+
+        with ExperimentServer(workers=1) as server, \
+                ExperimentClient(server.url, timeout_s=30.0) as failing:
+            server.queue._runner = boom
+            with pytest.raises(ServiceError, match="failed: RuntimeError: solver exploded"):
+                failing.run(campaign_spec())
+
+
 # -- fault tolerance: retries, drops, truncation, restart recovery -----------------------
 
 
@@ -510,6 +629,7 @@ class TestClientRetries:
                 # First response severed mid-request; the retry succeeds
                 # and coalesces/dedupes on the server side.
                 health = retrying.health()
+            retrying.close()
             assert health["status"] == "ok"
 
     def test_dropped_response_without_retries_fails(self, tmp_path):
@@ -522,6 +642,106 @@ class TestClientRetries:
             with injected(plan):
                 with pytest.raises(ServiceError, match="after 1 attempt"):
                     single_shot.health()
+
+
+class TestKeepAliveTransport:
+    @staticmethod
+    def count_connections(server):
+        """A list that grows by one per TCP connection the server accepts."""
+        accepted = []
+        accept = server._http.get_request
+
+        def counting_accept():
+            accepted.append(None)
+            return accept()
+
+        server._http.get_request = counting_accept
+        return accepted
+
+    def test_warm_runs_share_one_connection_and_one_post_each(self, tmp_path):
+        spec = campaign_spec()
+        with ExperimentServer(cache_dir=tmp_path / "cache", workers=1) as server, \
+                ExperimentClient(server.url, timeout_s=30.0) as warm:
+            accepted = self.count_connections(server)
+            warm.run(spec)  # computes and caches
+            posts, gets = http_requests("POST"), http_requests("GET")
+            begun = time.perf_counter()
+            for _ in range(10):
+                warm.run(spec)
+            elapsed = time.perf_counter() - begun
+            assert http_requests("POST") - posts == 10
+            assert http_requests("GET") - gets == 0
+        assert len(accepted) == 1
+        # A cache hit takes ~2 ms; with Nagle's algorithm on the server
+        # socket each response stalls ~44 ms on the delayed ACK, 0.44 s
+        # for ten, so the bound sits below that.
+        assert elapsed < 0.3
+
+    def test_threads_sharing_a_client_each_get_their_own_connection(self, tmp_path):
+        import sys
+
+        spec = campaign_spec()
+        n_threads, per_thread = 8, 5
+        with ExperimentServer(cache_dir=tmp_path / "cache", workers=2) as server, \
+                ExperimentClient(server.url, timeout_s=30.0) as shared:
+            reference = shared.run_text(spec)
+            accepted = self.count_connections(server)
+            posts = http_requests("POST")
+            answers, errors = [], []
+
+            def hammer():
+                try:
+                    for _ in range(per_thread):
+                        answers.append(shared.run_text(spec))
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+                finally:
+                    shared.close()
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert http_requests("POST") - posts == n_threads * per_thread
+        # A connection shared across threads would interleave responses.
+        assert answers == [reference] * (n_threads * per_thread)
+        assert len(accepted) == n_threads
+
+    def test_dropped_inline_answer_is_retried_with_the_same_bytes(self, tmp_path):
+        from repro.testing import FaultPlan
+        from repro.testing.faults import injected
+
+        spec = campaign_spec()
+        with ExperimentServer(cache_dir=tmp_path / "cache", workers=1) as server:
+            with ExperimentClient(server.url, timeout_s=30.0) as first:
+                reference = first.run_text(spec)
+            with ExperimentClient(
+                server.url, timeout_s=10.0, max_retries=2, backoff_s=0.01
+            ) as retrying:
+                with injected(FaultPlan(state_dir=str(tmp_path / "f1"), http_drop_first=1)):
+                    assert retrying.run_text(spec) == reference
+            with ExperimentClient(server.url, timeout_s=10.0, max_retries=0) as single_shot:
+                with injected(FaultPlan(state_dir=str(tmp_path / "f2"), http_drop_first=1)):
+                    with pytest.raises(ServiceError, match="after 1 attempt"):
+                        single_shot.run(spec)
+
+    def test_connection_closed_while_idle_is_reopened(self, monkeypatch):
+        monkeypatch.setattr(_ExperimentHandler, "timeout", 0.2)
+        with ExperimentServer(workers=1) as server, \
+                ExperimentClient(server.url, timeout_s=10.0, max_retries=0) as idle:
+            accepted = self.count_connections(server)
+            assert idle.health()["status"] == "ok"
+            time.sleep(0.6)  # the server times the idle connection out
+            assert idle.health()["status"] == "ok"
+        assert len(accepted) == 2
 
 
 class TestCacheTruncationFault:
@@ -570,6 +790,7 @@ class TestServerDurability:
             )
             # And the journal is settled: nothing outstanding remains.
             health = recovered_client.health()
+            recovered_client.close()
             assert health["queue"]["recovered"] == 1
             assert health["queue"]["journal"]["outstanding"] == 0
         # Parity with a direct run (the recovered records are the real
@@ -590,6 +811,7 @@ class TestServerDurability:
         with ExperimentServer(cache_dir=tmp_path / "cache", workers=1) as server:
             submitting = ExperimentClient(server.url, timeout_s=30.0)
             ticket = submitting.submit(campaign_spec())
+            submitting.close()
             server.stop_serving()
             # Listener closed, but the in-flight job still completes
             # within the drain budget and settles its journal obligation.
