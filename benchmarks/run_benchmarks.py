@@ -1,9 +1,24 @@
 #!/usr/bin/env python
-"""Perf-regression harness for the paper's two engine benches.
+"""Bench harness: the perfbench timing gate plus the non-timing bench gates.
+
+One timer measures the operations DOE: ``perfbench/run.py``, the
+``BENCHMARK.json`` contract, which checks every output against the
+scalar-oracle reference.  ``--suite perf`` runs its ``ops_serial`` and
+``ops_pool`` workloads untraced in fresh interpreters and fails on a
+non-zero exit or on ``"correct": false``.  It then times one
+scalar-tier ``api.run`` of the same DOE and holds the batched tier to
+at least 5x of it, and writes ``BENCH_perf.json``.  With
+``--record``/``--check`` it gates each workload's absolute ``run_s``
+(lower is better) and ``throughput_per_s`` (higher is better) against
+``benchmarks/history/<workload>.jsonl``; only entries taken at the same
+``cpus_available`` compare.
+
+The other suites gate correctness and speed ratios, not absolute walls:
 
 ``--suite mc`` times every Monte-Carlo study point of the paper DOE
 through both the batched (vectorised) pipeline and the scalar per-sample
-oracle, checks that the two agree element-wise, and writes ``BENCH_mc.json``.
+oracle, checks that the two agree element-wise, and writes
+``BENCH_mc.json`` (batched floor: 10x at 1000 samples).
 
 ``--suite service`` starts the HTTP experiment server on an ephemeral
 port and times ``ExperimentClient.run`` of the smoke spec — one
@@ -11,12 +26,6 @@ port and times ``ExperimentClient.run`` of the smoke spec — one
 users get: cold (computed), warm (served from the content-addressed
 result cache) and N concurrent clients hammering the cached entry,
 writing ``BENCH_service.json`` (warm-cache speedup floor: 10x).
-
-``--suite sim`` times the simulated half (Fig. 4 / Tables II–III): the
-sequential per-experiment pipelines (fresh ``WorstCaseStudy`` +
-``FormulaValidation`` per table, the pre-campaign CLI behaviour) against
-the :class:`SimulationCampaign` engine at one and at ``--sim-workers``
-processes, verifies row-level parity, and writes ``BENCH_sim.json``.
 
 ``--suite faults`` is the chaos bench: it runs a small campaign under
 injected solver faults (``repro.testing.faults``) and measures the cost
@@ -43,9 +52,9 @@ simulator-call budget (1e5) — writing ``BENCH_yield.json``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py              # both suites, full size
+    PYTHONPATH=src python benchmarks/run_benchmarks.py              # every suite, full size
     PYTHONPATH=src python benchmarks/run_benchmarks.py --samples 50 --suite mc
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite sim --sim-sizes 16
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite perf --record --check
 
 The MC JSON schema (see README.md, "performance notes"):
 
@@ -55,10 +64,6 @@ The MC JSON schema (see README.md, "performance notes"):
   sample sets (the parity check);
 * ``summary`` — total wall time of each path, the geometric-mean and
   minimum per-point speedup, and the samples/sec of the batched path.
-
-The sim JSON carries ``sequential.wall_s``, per-worker-count campaign
-walls, the derived speedups and a ``parity.max_rel_diff`` over every
-Fig. 4 / Table II / Table III value.
 """
 
 from __future__ import annotations
@@ -68,22 +73,19 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.obs import history as bench_history  # noqa: E402
-from repro.core.analytical import model_from_technology  # noqa: E402
 from repro.core.campaign import SimulationCampaign, scenario_grid  # noqa: E402
 from repro.core.montecarlo import MonteCarloTdpStudy  # noqa: E402
-from repro.core.operations import OperationSimulators  # noqa: E402
-from repro.core.validation import FormulaValidation  # noqa: E402
-from repro.core.worst_case import WorstCaseStudy  # noqa: E402
-from repro.sram.read_path import ReadPathSimulator  # noqa: E402
 from repro.technology.node import n10  # noqa: E402
 from repro.variability.doe import StudyDOE, paper_doe  # noqa: E402
 
@@ -168,378 +170,85 @@ def run_benches(n_samples: int, n_wordlines: int, skip_scalar: bool) -> dict:
     return {"points": entries, "summary": summary}
 
 
-def _rows_as_values(figure4, table2, table3) -> list:
-    """Flatten the three row lists into one comparable value vector."""
-    values = []
-    for row in figure4:
-        values.append(row.nominal_td_ps)
-        values.extend(value for _, value in sorted(row.tdp_percent_by_option.items()))
-    for row in table2:
-        values.extend([row.simulation_td_s, row.formula_td_s])
-    for row in table3:
-        values.extend(value for _, value in sorted(row.tdp_percent_by_option.items()))
-    return values
+#: The perfbench workloads that time the operations DOE; each has its
+#: own history file, ``benchmarks/history/<workload>.jsonl``.
+PERF_WORKLOADS = ("ops_serial", "ops_pool")
+
+#: Seed and measuring window of every perf-suite run.  They are fixed so
+#: that every history entry taken at one CPU count compares with every
+#: other; four seconds give each workload a median over two or three
+#: requests (about 2 s each on 2 CPUs).
+PERF_SEED = 7
+PERF_SECONDS = 4.0
+
+#: The perf suite's gated metrics, per workload.
+PERF_GATES = {"run_s": "lower", "throughput_per_s": "higher"}
+
+#: Floor of the batched solver tier (``ops_serial`` ``run_s``) over one
+#: scalar-tier ``api.run`` of the same DOE.
+SOLVER_SPEEDUP_FLOOR = 5.0
 
 
-class UncachedReadPathSimulator(ReadPathSimulator):
-    """The pre-campaign cost model: every nominal measurement re-simulates,
-    every printed layout re-extracts and every solve rebuilds its Jacobian
-    structure (no memoization).  Used only as the bench baseline, so the
-    engine's dedup/caching shows up honestly in the speedup instead of
-    silently accelerating the baseline too."""
-
-    def measure_nominal(self, n_cells, stored_value=0):
-        column = self.column_parasitics(n_cells)
-        return self.prepare_simulate_column(
-            n_cells, column, label="nominal", stored_value=stored_value
-        ).run_scalar()
-
-    def printed_extraction(self, n_cells, option, parameters):
-        layout = self.layout_for(n_cells)
-        patterned = option.apply(layout.metal1_pattern, parameters)
-        return self._lpe.extract_pattern(patterned.printed)
-
-    def prepare_simulate_column(self, *args, **kwargs):
-        self._jacobian_template_cache.clear()
-        return super().prepare_simulate_column(*args, **kwargs)
+class PerfbenchError(RuntimeError):
+    """A perfbench run failed or reported ``"correct": false``."""
 
 
-def _scalar_loop_rows(node, doe, model):
-    """Fig. 4 / Tables II–III through the scalar corner loop.
+def run_perfbench(workload: str) -> tuple[dict, dict]:
+    """One untraced perfbench run in a fresh interpreter.
 
-    This is the baseline the campaign replaces: one corner at a time via
-    ``penalty_percent`` (which re-simulates the nominal column on every
-    call) and per-experiment pipelines that re-search corners and
-    re-extract every printed layout.
+    Returns the JSON result line and the provenance line.
     """
-    from repro.core.results import WorstCaseTdRow
-    from repro.core.results import FormulaVsSimulationTdRow, FormulaVsSimulationTdpRow
-
-    label = lambda size: f"{doe.n_bitline_pairs}x{size}"  # noqa: E731
-
-    # Fig. 4: nominal td per size plus penalty_percent per (size, option).
-    worst_case = WorstCaseStudy(node, doe=doe)
-    simulator = UncachedReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    figure4 = []
-    for size in doe.array_sizes:
-        nominal = simulator.measure_nominal(size)
-        penalties = {
-            name: simulator.penalty_percent(
-                size, worst_case.option(name), worst_case.find_worst_corner(name).parameters
-            )
-            for name in doe.option_names
-        }
-        figure4.append(
-            WorstCaseTdRow(
-                array_label=label(size),
-                n_wordlines=size,
-                nominal_td_ps=nominal.td_ps,
-                tdp_percent_by_option=penalties,
-            )
-        )
-
-    # Table II: fresh pipeline, nominal simulations again.
-    simulator2 = UncachedReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    table2 = [
-        FormulaVsSimulationTdRow(
-            array_label=label(size),
-            n_wordlines=size,
-            simulation_td_s=simulator2.measure_nominal(size).td_s,
-            formula_td_s=model.td_nominal_s(size),
-        )
-        for size in doe.array_sizes
+    command = [
+        sys.executable, str(ROOT / "perfbench" / "run.py"),
+        "--workload", workload, "--seed", str(PERF_SEED),
+        "--seconds", str(PERF_SECONDS), "--trace", "0",
     ]
-
-    # Table III: fresh pipeline (its own corner search), the corner loop again.
-    worst_case3 = WorstCaseStudy(node, doe=doe)
-    simulator3 = UncachedReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
-    table3 = []
-    for size in doe.array_sizes:
-        simulated, formula = {}, {}
-        for name in doe.option_names:
-            corner = worst_case3.find_worst_corner(name)
-            simulated[name] = simulator3.penalty_percent(
-                size, worst_case3.option(name), corner.parameters
-            )
-            formula[name] = model.tdp_percent(
-                size, corner.bitline_variation.rvar, corner.bitline_variation.cvar
-            )
-        table3.append(
-            FormulaVsSimulationTdpRow(
-                method="simulation", array_label=label(size),
-                n_wordlines=size, tdp_percent_by_option=simulated,
-            )
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise PerfbenchError(
+            f"perfbench {workload} exited {done.returncode}:\n{done.stderr[-2000:]}"
         )
-        table3.append(
-            FormulaVsSimulationTdpRow(
-                method="formula", array_label=label(size),
-                n_wordlines=size, tdp_percent_by_option=formula,
-            )
-        )
-    return figure4, table2, table3
-
-
-def _sequential_rows(node, doe, model):
-    """Fig. 4 / Table II / Table III through fresh per-experiment pipelines,
-    mirroring three independent CLI invocations (with this PR's simulator
-    caches active — a tighter baseline than the scalar loop)."""
-    figure4 = WorstCaseStudy(node, doe=doe).figure4(
-        simulator=ReadPathSimulator(node, n_bitline_pairs=doe.n_bitline_pairs)
+    result = json.loads(lines[-1])
+    if result.get("correct") is not True:
+        raise PerfbenchError(f"perfbench {workload} reported correct={result.get('correct')}")
+    prefix = "provenance "
+    provenance = next(
+        json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)
     )
-    table2 = FormulaValidation(node, doe=doe, model=model).table2()
-    table3 = FormulaValidation(node, doe=doe, model=model).table3()
-    return figure4, table2, table3
+    return result, provenance
 
 
-def _campaign_rows(node, doe, model, workers):
-    campaign = SimulationCampaign(node, doe=doe)
-    results = campaign.run(workers=workers)
-    return (
-        campaign.figure4_rows(results),
-        campaign.table2_rows(results, model),
-        campaign.table3_rows(results, model),
-    )
+def time_scalar_ops() -> float:
+    """Wall of one ``api.run`` of the perfbench operations DOE on the
+    scalar solver tier, in this process."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import ops_spec
+    from repro import api
+
+    start = time.perf_counter()
+    api.run(ops_spec(PERF_SEED, solver="scalar"))
+    return time.perf_counter() - start
 
 
-def _best_of(repetitions: int, runner):
-    """Best-of-N wall clock (fresh state per repetition, min of the walls)."""
-    best_wall, rows = None, None
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        rows = runner()
-        wall = time.perf_counter() - start
-        best_wall = wall if best_wall is None else min(best_wall, wall)
-    return best_wall, rows
-
-
-def run_sim_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
-    import os
-
-    node = n10()
-    doe = StudyDOE(array_sizes=tuple(sizes))
-    model = model_from_technology(node, n_bitline_pairs=doe.n_bitline_pairs)
-
-    scalar_wall, scalar_rows = _best_of(
-        repetitions, lambda: _scalar_loop_rows(node, doe, model)
-    )
-    print(f"scalar corner loop          {scalar_wall*1e3:9.2f} ms")
-
-    sequential_wall, seq_rows = _best_of(
-        repetitions, lambda: _sequential_rows(node, doe, model)
-    )
-    print(f"sequential pipelines        {sequential_wall*1e3:9.2f} ms")
-
-    walls = {}
-    campaign_rows = {}
-    effective_workers = {}
-    for n_workers in sorted({1, workers}):
-        walls[n_workers], campaign_rows[n_workers] = _best_of(
-            repetitions, lambda: _campaign_rows(node, doe, model, n_workers)
-        )
-        # The engine clamps to available CPUs; record what actually ran so
-        # the artifact is honest about single-core machines.
-        effective_workers[n_workers] = min(
-            n_workers, SimulationCampaign.available_cpus()
-        )
-        print(
-            f"campaign --workers {n_workers:<2}       {walls[n_workers]*1e3:9.2f} ms"
-            f"  (effective workers: {effective_workers[n_workers]})"
-        )
-
-    reference = np.asarray(_rows_as_values(*scalar_rows))
-    max_rel_diff = 0.0
-    for rows in list(campaign_rows.values()) + [seq_rows]:
-        values = np.asarray(_rows_as_values(*rows))
-        scale = np.maximum(np.abs(reference), 1e-30)
-        max_rel_diff = max(
-            max_rel_diff, float(np.max(np.abs(values - reference) / scale))
-        )
-
-    best_wall = min(walls.values())
-    n_items = len(SimulationCampaign(node, doe=doe).work_items())
+def run_perf_bench() -> dict:
+    """Time the operations DOE through perfbench; raises PerfbenchError."""
+    workloads = {}
+    for name in PERF_WORKLOADS:
+        result, provenance = run_perfbench(name)
+        metrics = {key: entry["value"] for key, entry in result["metrics"].items()}
+        workloads[name] = {**metrics, "provenance": provenance}
+        print(f"perf {name:<22} {metrics['run_s']*1e3:9.2f} ms"
+              f"  ({metrics['throughput_per_s']:.1f} items/s, "
+              f"cpus_available {provenance['cpus_available']})")
+    scalar_wall = time_scalar_ops()
+    print(f"perf scalar solver tier     {scalar_wall*1e3:9.2f} ms  (one api.run)")
     return {
-        "doe": {
-            "array_sizes": list(doe.array_sizes),
-            "option_names": list(doe.option_names),
-            "n_items": n_items,
-        },
-        "baselines": {
-            "scalar_loop": {
-                "wall_s": round(scalar_wall, 6),
-                "description": (
-                    "pre-campaign corner loop: per-corner penalty_percent "
-                    "(nominal re-simulated, printed layout re-extracted per "
-                    "call), fresh pipeline and corner search per experiment"
-                ),
-            },
-            "sequential_pipelines": {
-                "wall_s": round(sequential_wall, 6),
-                "description": (
-                    "fig4/table2/table3 as three fresh cached pipelines "
-                    "(per-command CLI behaviour with this PR's caches)"
-                ),
-            },
-        },
-        "campaign": {
-            f"workers_{n}": {
-                "wall_s": round(wall, 6),
-                "effective_workers": effective_workers[n],
-            }
-            for n, wall in walls.items()
-        },
-        "speedup": {
-            "vs_scalar_loop": {
-                f"workers_{n}": round(scalar_wall / wall, 2)
-                for n, wall in walls.items()
-            },
-            "vs_sequential_pipelines": {
-                f"workers_{n}": round(sequential_wall / wall, 2)
-                for n, wall in walls.items()
-            },
-        },
-        "parity": {"max_rel_diff": max_rel_diff},
-        "summary": {
-            "workers": workers,
-            "effective_workers": effective_workers[workers],
-            "parallel_speedup": round(walls[1] / walls[workers], 2),
-            "cpu_count": os.cpu_count(),
-            "speedup_at_workers": round(scalar_wall / walls[workers], 2),
-            "speedup_best": round(scalar_wall / best_wall, 2),
-        },
-    }
-
-
-#: Operations of the ops bench (write + both noise margins; read has its
-#: own bench in --suite sim).
-OPS_BENCH_OPERATIONS = ("write", "hold_snm", "read_snm")
-
-
-def _operation_rows_as_values(rows_by_operation: dict) -> list:
-    """Flatten per-operation row lists into one comparable value vector."""
-    values = []
-    for name in OPS_BENCH_OPERATIONS:
-        for row in rows_by_operation[name]:
-            values.append(row.nominal_value)
-            values.extend(v for _, v in sorted(row.delta_percent_by_option.items()))
-    return values
-
-
-def _scalar_ops_rows(node, doe):
-    """Write + SNM impacts through fresh per-operation pipelines.
-
-    The baseline the operation campaign replaces: one fresh simulator
-    bundle and one fresh worst-case study (its own corner search) per
-    operation, so nothing is shared between operations.
-    """
-    rows = {}
-    for name in OPS_BENCH_OPERATIONS:
-        worst_case = WorstCaseStudy(node, doe=doe)
-        sims = OperationSimulators(node, n_bitline_pairs=doe.n_bitline_pairs)
-        rows[name] = worst_case.operation_rows(name, simulators=sims)
-    return rows
-
-
-def _campaign_ops_rows(node, doe, workers, solver="batched"):
-    campaign = SimulationCampaign(
-        node,
-        doe=doe,
-        scenarios=scenario_grid(operations=OPS_BENCH_OPERATIONS),
-        solver=solver,
-    )
-    results = campaign.run(workers=workers)
-    return {
-        scenario.operation: campaign.operation_rows(results, scenario)
-        for scenario in campaign.scenarios
-    }
-
-
-def run_ops_bench(sizes: tuple, workers: int, repetitions: int = 2) -> dict:
-    node = n10()
-    doe = StudyDOE(array_sizes=tuple(sizes))
-
-    scalar_wall, scalar_rows = _best_of(
-        repetitions, lambda: _scalar_ops_rows(node, doe)
-    )
-    print(f"scalar operation loop       {scalar_wall*1e3:9.2f} ms")
-
-    # The scalar-solver campaign at one worker: same engine, items run
-    # one at a time — the direct baseline of the batched solver tier.
-    scalar_solver_wall, scalar_solver_rows = _best_of(
-        repetitions, lambda: _campaign_ops_rows(node, doe, 1, solver="scalar")
-    )
-    print(f"ops campaign scalar tier    {scalar_solver_wall*1e3:9.2f} ms")
-
-    walls = {}
-    campaign_rows = {}
-    effective_workers = {}
-    for n_workers in sorted({1, workers}):
-        walls[n_workers], campaign_rows[n_workers] = _best_of(
-            repetitions, lambda: _campaign_ops_rows(node, doe, n_workers)
-        )
-        effective_workers[n_workers] = min(
-            n_workers, SimulationCampaign.available_cpus()
-        )
-        print(
-            f"ops campaign --workers {n_workers:<2}   {walls[n_workers]*1e3:9.2f} ms"
-            f"  (batched tier, effective workers: {effective_workers[n_workers]})"
-        )
-
-    reference = np.asarray(_operation_rows_as_values(scalar_rows))
-    max_rel_diff = 0.0
-    for rows in list(campaign_rows.values()) + [scalar_solver_rows]:
-        values = np.asarray(_operation_rows_as_values(rows))
-        scale = np.maximum(np.abs(reference), 1e-30)
-        max_rel_diff = max(
-            max_rel_diff, float(np.max(np.abs(values - reference) / scale))
-        )
-
-    best_wall = min(walls.values())
-    return {
-        "doe": {
-            "array_sizes": list(doe.array_sizes),
-            "option_names": list(doe.option_names),
-            "operations": list(OPS_BENCH_OPERATIONS),
-        },
-        "baselines": {
-            "scalar_loop": {
-                "wall_s": round(scalar_wall, 6),
-                "description": (
-                    "per-operation pipelines: fresh simulator bundle and "
-                    "fresh corner search per operation, nothing shared"
-                ),
-            },
-            "campaign_scalar_solver": {
-                "wall_s": round(scalar_solver_wall, 6),
-                "description": (
-                    "the campaign engine with solver=scalar at one worker: "
-                    "shared caches, items solved one at a time"
-                ),
-            },
-        },
-        "campaign": {
-            f"workers_{n}": {
-                "wall_s": round(wall, 6),
-                "effective_workers": effective_workers[n],
-            }
-            for n, wall in walls.items()
-        },
-        "speedup": {
-            "vs_scalar_loop": {
-                f"workers_{n}": round(scalar_wall / wall, 2)
-                for n, wall in walls.items()
-            },
-            "batched_vs_scalar_solver": round(scalar_solver_wall / walls[1], 2),
-        },
-        "parity": {"max_rel_diff": max_rel_diff},
-        "summary": {
-            "workers": workers,
-            "effective_workers": effective_workers[workers],
-            "parallel_speedup": round(walls[1] / walls[workers], 2),
-            "cpu_count": os.cpu_count(),
-            "speedup_at_workers": round(scalar_wall / walls[workers], 2),
-            "speedup_best": round(scalar_wall / best_wall, 2),
-            "solver_speedup": round(scalar_solver_wall / walls[1], 2),
-        },
+        "seed": PERF_SEED,
+        "seconds": PERF_SECONDS,
+        "workloads": workloads,
+        "scalar_solver": {"wall_s": round(scalar_wall, 6)},
+        "solver_speedup": round(scalar_wall / workloads["ops_serial"]["run_s"], 2),
     }
 
 
@@ -568,7 +277,7 @@ def run_service_bench(
 
     from repro.service import ExperimentClient, ExperimentServer
 
-    spec_path = Path(__file__).resolve().parent.parent / "examples" / "specs" / "smoke.json"
+    spec_path = ROOT / "examples" / "specs" / "smoke.json"
 
     def round_trip(client: ExperimentClient) -> float:
         start = time.perf_counter()
@@ -817,10 +526,11 @@ def run_obs_bench(
 
     node = n10()
     doe = StudyDOE(array_sizes=tuple(sizes))
+    operations = ("write", "hold_snm", "read_snm")
 
     def run_campaign():
         campaign = SimulationCampaign(
-            node, doe=doe, scenarios=scenario_grid(operations=OPS_BENCH_OPERATIONS)
+            node, doe=doe, scenarios=scenario_grid(operations=operations)
         )
         return campaign.run(workers=1)
 
@@ -912,7 +622,7 @@ def run_obs_bench(
         "doe": {
             "array_sizes": list(doe.array_sizes),
             "option_names": list(doe.option_names),
-            "operations": list(OPS_BENCH_OPERATIONS),
+            "operations": list(operations),
             "items": len(reference),
         },
         "untraced": {
@@ -1085,18 +795,14 @@ def bench_environment(workers: int | None = None) -> dict:
     return env
 
 
-#: Per-suite gated metrics for the history regression gate: metric name
-#: (as extracted by :func:`_suite_metrics`) → direction.  "higher" =
+#: Per-history gated metrics for the regression gate: metric name (as
+#: extracted by :func:`_suite_metrics`) → direction.  "higher" =
 #: throughput/speedup (regression when it drops), "lower" = wall/latency
-#: (regression when it grows).
+#: (regression when it grows).  The perf suite keeps one history per
+#: perfbench workload.
 GATED_METRICS: dict = {
     "mc": {"batch_samples_per_s": "higher", "speedup_geomean": "higher"},
-    "sim": {"speedup_at_workers": "higher", "parallel_speedup": "higher"},
-    "ops": {
-        "solver_speedup": "higher",
-        "speedup_at_workers": "higher",
-        "parallel_speedup": "higher",
-    },
+    **{workload: PERF_GATES for workload in PERF_WORKLOADS},
     "service": {
         "speedup_warm_vs_cold": "higher",
         "submissions_per_s": "higher",
@@ -1118,17 +824,8 @@ def _suite_metrics(suite: str, report: dict) -> dict:
         if "speedup_geomean" in report["summary"]:
             metrics["speedup_geomean"] = report["summary"]["speedup_geomean"]
         return metrics
-    if suite == "sim":
-        return {
-            "speedup_at_workers": report["summary"]["speedup_at_workers"],
-            "parallel_speedup": report["summary"]["parallel_speedup"],
-        }
-    if suite == "ops":
-        return {
-            "solver_speedup": report["summary"]["solver_speedup"],
-            "speedup_at_workers": report["summary"]["speedup_at_workers"],
-            "parallel_speedup": report["summary"]["parallel_speedup"],
-        }
+    if suite in PERF_WORKLOADS:
+        return {name: report["workloads"][suite][name] for name in PERF_GATES}
     if suite == "service":
         return {
             "speedup_warm_vs_cold": report["speedup_warm_vs_cold"],
@@ -1152,20 +849,23 @@ def _suite_metrics(suite: str, report: dict) -> dict:
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def _suite_config(suite: str, args) -> dict:
+def _suite_config(suite: str, args, report: dict) -> dict:
     """The knobs that shape a suite's timings — history entries only
     compare against entries recorded under an identical config, so a
-    smoke run is never judged against full-DOE baselines."""
+    smoke run is never judged against full-DOE baselines, nor a 1-CPU
+    perfbench wall against a 2-CPU one."""
     if suite == "mc":
         return {
             "samples": args.samples,
             "wordlines": args.wordlines,
             "skip_scalar": bool(args.skip_scalar),
         }
-    if suite == "sim":
-        return {"sizes": list(args.sim_sizes), "workers": args.sim_workers}
-    if suite == "ops":
-        return {"sizes": list(args.ops_sizes), "workers": args.ops_workers}
+    if suite in PERF_WORKLOADS:
+        return {
+            "seed": report["seed"],
+            "seconds": report["seconds"],
+            "cpus_available": report["workloads"][suite]["provenance"]["cpus_available"],
+        }
     if suite == "service":
         return {
             "clients": args.service_clients,
@@ -1206,7 +906,7 @@ def _history_step(args, suite: str, report: dict) -> bool:
     if not (args.record or args.check):
         return False
     metrics = _suite_metrics(suite, report)
-    config = _suite_config(suite, args)
+    config = _suite_config(suite, args, report)
     regressed = False
     if args.check:
         problems = bench_history.validate_report(report)
@@ -1242,7 +942,7 @@ def _history_step(args, suite: str, report: dict) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite",
-                        choices=("mc", "sim", "ops", "service", "faults", "obs",
+                        choices=("mc", "perf", "service", "faults", "obs",
                                  "yield_hs", "all"),
                         default="all",
                         help="which bench suite(s) to run (default: all)")
@@ -1253,33 +953,21 @@ def main() -> int:
     parser.add_argument("--skip-scalar", action="store_true",
                         help="time only the batched path (quick trend check)")
     parser.add_argument("--output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_mc.json",
+                        default=ROOT / "BENCH_mc.json",
                         help="where to write the MC JSON report")
-    parser.add_argument("--sim-sizes", type=int, nargs="+", default=[16, 64, 256, 1024],
-                        help="array sizes of the campaign bench (default: the paper DOE)")
-    parser.add_argument("--sim-workers", type=int, default=4,
-                        help="worker processes for the campaign bench (default 4)")
-    parser.add_argument("--sim-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_sim.json",
-                        help="where to write the sim JSON report")
-    parser.add_argument("--ops-sizes", type=int, nargs="+", default=[16, 64, 256, 1024],
-                        help="array sizes of the operation-suite bench (default: the paper DOE)")
-    parser.add_argument("--ops-workers", type=int, default=4,
-                        help="worker processes for the operation-suite bench (default 4)")
-    parser.add_argument("--ops-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_ops.json",
-                        help="where to write the operation-suite JSON report")
+    parser.add_argument("--perf-output", type=Path, default=ROOT / "BENCH_perf.json",
+                        help="where to write the perfbench timing JSON report")
     parser.add_argument("--service-clients", type=int, default=4,
                         help="concurrent clients of the service bench (default 4)")
     parser.add_argument("--service-requests", type=int, default=25,
                         help="submissions per client in the service bench (default 25)")
     parser.add_argument("--service-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_service.json",
+                        default=ROOT / "BENCH_service.json",
                         help="where to write the service JSON report")
     parser.add_argument("--journal-entries", type=int, default=500,
                         help="WAL submissions in the faults journal bench (default 500)")
     parser.add_argument("--faults-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_faults.json",
+                        default=ROOT / "BENCH_faults.json",
                         help="where to write the chaos-bench JSON report")
     parser.add_argument("--obs-sizes", type=int, nargs="+", default=[16, 64, 256, 1024],
                         help="array sizes of the observability bench (default: the paper DOE)")
@@ -1292,7 +980,7 @@ def main() -> int:
                         help="keep the profiled run's folded stacks at this path "
                              "(default: a temp file)")
     parser.add_argument("--obs-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_obs.json",
+                        default=ROOT / "BENCH_obs.json",
                         help="where to write the observability JSON report")
     parser.add_argument("--yield-proposals", type=int, default=4000,
                         help="IS proposal draws per corner/level in the "
@@ -1301,7 +989,7 @@ def main() -> int:
                         help="brute-force cross-check draws in the "
                              "high-sigma bench (default 20000)")
     parser.add_argument("--yield-output", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "BENCH_yield.json",
+                        default=ROOT / "BENCH_yield.json",
                         help="where to write the high-sigma yield JSON report")
     parser.add_argument("--record", action="store_true",
                         help="append each suite's gated metrics to the history "
@@ -1310,7 +998,7 @@ def main() -> int:
                         help="gate each suite against its rolling history "
                              f"(exit {bench_history.REGRESSION_EXIT_CODE} on regression)")
     parser.add_argument("--history-dir", type=Path,
-                        default=Path(__file__).resolve().parent / "history",
+                        default=ROOT / "benchmarks" / "history",
                         help="bench-history directory (default: benchmarks/history)")
     args = parser.parse_args()
 
@@ -1340,62 +1028,30 @@ def main() -> int:
                 exit_code = 1
         regressed |= _history_step(args, "mc", report)
 
-    if args.suite in ("sim", "all"):
+    if args.suite in ("perf", "all"):
         started = time.time()
         report = _report_header(
-            "simulation_campaign",
-            "Fig.4/Tables II-III benches: sequential pipelines vs the "
-            "SimulationCampaign engine",
+            "perfbench_ops",
+            "Operations DOE timed by perfbench (ops_serial, ops_pool) "
+            "against one scalar-solver-tier run of the same DOE",
             started,
-            args.sim_workers,
         )
-        report.update(run_sim_bench(tuple(args.sim_sizes), args.sim_workers))
-        report["harness_wall_s"] = round(time.time() - started, 3)
-
-        args.sim_output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"\nwrote {args.sim_output}")
-        speedup = report["summary"]["speedup_at_workers"]
-        print(
-            f"campaign speedup at {args.sim_workers} workers: {speedup}x "
-            f"(parity max rel diff {report['parity']['max_rel_diff']:.2e})"
-        )
-        if report["parity"]["max_rel_diff"] > 1e-12:
-            print("WARNING: campaign rows diverge from the sequential pipelines")
+        try:
+            report.update(run_perf_bench())
+        except PerfbenchError as exc:
+            print(f"FAILED: {exc}")
             exit_code = 1
-        full_doe = tuple(args.sim_sizes) == (16, 64, 256, 1024)
-        if full_doe and args.sim_workers >= 4 and speedup < 3.0:
-            print("WARNING: campaign is below the 3x acceptance floor")
-            exit_code = 1
-        regressed |= _history_step(args, "sim", report)
-
-    if args.suite in ("ops", "all"):
-        started = time.time()
-        report = _report_header(
-            "operation_suite",
-            "Operation-suite benches: write + hold/read SNM campaign "
-            "vs per-operation scalar pipelines",
-            started,
-            args.ops_workers,
-        )
-        report.update(run_ops_bench(tuple(args.ops_sizes), args.ops_workers))
-        report["harness_wall_s"] = round(time.time() - started, 3)
-
-        args.ops_output.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"\nwrote {args.ops_output}")
-        speedup = report["summary"]["speedup_at_workers"]
-        solver_speedup = report["summary"]["solver_speedup"]
-        print(
-            f"ops campaign speedup at {args.ops_workers} workers: {speedup}x "
-            f"(batched solver tier {solver_speedup}x vs scalar tier, "
-            f"parity max rel diff {report['parity']['max_rel_diff']:.2e})"
-        )
-        if report["parity"]["max_rel_diff"] > 1e-12:
-            print("WARNING: operation campaign rows diverge from the scalar pipelines")
-            exit_code = 1
-        if solver_speedup < 5.0:
-            print("WARNING: batched solver tier is below the 5x acceptance floor")
-            exit_code = 1
-        regressed |= _history_step(args, "ops", report)
+        else:
+            report["harness_wall_s"] = round(time.time() - started, 3)
+            args.perf_output.write_text(json.dumps(report, indent=2) + "\n")
+            print(f"\nwrote {args.perf_output}")
+            print(f"batched solver tier: {report['solver_speedup']}x vs scalar tier")
+            if report["solver_speedup"] < SOLVER_SPEEDUP_FLOOR:
+                print(f"WARNING: batched solver tier is below the "
+                      f"{SOLVER_SPEEDUP_FLOOR:g}x acceptance floor")
+                exit_code = 1
+            for workload in PERF_WORKLOADS:
+                regressed |= _history_step(args, workload, report)
 
     if args.suite in ("service", "all"):
         started = time.time()

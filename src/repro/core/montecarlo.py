@@ -28,6 +28,7 @@ from ..technology.node import TechnologyNode
 from ..variability.doe import DOEPoint, StudyDOE, paper_doe
 from ..variability.statistics import Histogram, SummaryStatistics
 from .analytical import AnalyticalDelayModel, model_from_technology
+from .campaign import SimulationCampaign
 from .operations import (
     OperationResponseSurface,
     OperationSimulators,
@@ -250,9 +251,13 @@ class MonteCarloTdpStudy:
         ``workers`` > 1 fans the per-point work (layout, printing,
         extraction, statistics) out over a process pool; the per-point
         seeds are derived with a process-stable hash, so the records are
-        identical to the serial ones in any order.
+        identical to the serial ones in any order.  Like
+        :meth:`SimulationCampaign.run`, the request is clamped to the
+        CPUs this process may run on, and a clamp to one worker runs
+        in-process.
         """
-        if workers is not None and workers > 1 and len(points) > 1:
+        workers = min(workers or 1, SimulationCampaign.available_cpus())
+        if workers > 1 and len(points) > 1:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker_study,

@@ -209,3 +209,20 @@ class TestStudyParity:
         parallel = study.tdp_records(points, workers=2)
         for one, two in zip(serial, parallel):
             assert one.tdp_percent_samples == two.tdp_percent_samples
+
+    def test_workers_clamp_to_the_available_cpus(self, node, monkeypatch):
+        from repro.core import montecarlo
+        from repro.core.campaign import SimulationCampaign
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a 1-CPU clamp must not build a process pool")
+
+        monkeypatch.setattr(SimulationCampaign, "available_cpus", staticmethod(lambda: 1))
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        study = MonteCarloTdpStudy(node, n_samples=32, seed=7)
+        points = study.doe.monte_carlo_points(n_wordlines=64)
+        clamped = study.tdp_records(points, workers=4)
+        serial = study.tdp_records(points)
+        assert [r.tdp_percent_samples for r in clamped] == [
+            r.tdp_percent_samples for r in serial
+        ]

@@ -5,6 +5,7 @@ top`` dashboard."""
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -54,6 +55,8 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import disable_tracing, span
 from repro.reporting.tables import format_flame_summary
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -188,11 +191,18 @@ class TestHistoryGate:
         assert validate_report({**good, "bench_schema_version": 99}) != []
         assert validate_report({**good, "timestamp_utc": "yesterday"}) != []
 
+    @pytest.mark.parametrize(
+        "path", sorted(REPO_ROOT.glob("BENCH_*.json")), ids=lambda path: path.name
+    )
+    def test_committed_reports_carry_provenance(self, path):
+        report = json.loads(path.read_text())
+        assert validate_report(report) == []
+        assert report["environment"]["cpus_available"] >= 1
+
 
 def _load_bench_harness():
-    root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
-        "bench_harness", root / "benchmarks" / "run_benchmarks.py"
+        "bench_harness", REPO_ROOT / "benchmarks" / "run_benchmarks.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -263,6 +273,110 @@ class TestBenchHarnessGate:
         # --record --check together: still gated (fresh measurement must
         # not join its own baseline), and the bad run is still recorded.
         assert harness("--record", "--check") == REGRESSION_EXIT_CODE
+
+
+class TestPerfSuiteGate:
+    """``run_benchmarks.py --suite perf``: perfbench's absolute walls,
+    gated per CPU count, with the perfbench subprocess faked."""
+
+    @pytest.fixture()
+    def harness(self, tmp_path, monkeypatch):
+        bench = _load_bench_harness()
+        perfbench = {
+            "run_s": 2.0, "cpus": 2, "correct": True, "returncode": 0, "scalar_s": 20.0,
+        }
+
+        def fake_run(command, **kwargs):
+            workload = command[command.index("--workload") + 1]
+            run_s = perfbench["run_s"]
+            result = {
+                "correct": perfbench["correct"],
+                "attempted": 2,
+                "failed": 0,
+                "metrics": {
+                    "run_s": {"value": run_s, "unit": "s"},
+                    "throughput_per_s": {"value": 64 / run_s, "unit": "1/s"},
+                },
+            }
+            provenance = {"workload": workload, "cpus_available": perfbench["cpus"]}
+            stdout = (
+                f"{'run_s':40s} {run_s:16.6g} s      n=2\n"
+                f"provenance {json.dumps(provenance)}\n{json.dumps(result)}\n"
+            )
+            return subprocess.CompletedProcess(
+                command, perfbench["returncode"], stdout, "perfbench: output mismatch"
+            )
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_run)
+        monkeypatch.setattr(bench, "time_scalar_ops", lambda: perfbench["scalar_s"])
+        history = tmp_path / "history"
+
+        def run(*extra):
+            argv = [
+                "run_benchmarks.py",
+                "--suite", "perf",
+                "--perf-output", str(tmp_path / "BENCH_perf.json"),
+                "--history-dir", str(history),
+                *extra,
+            ]
+            monkeypatch.setattr(sys, "argv", argv)
+            return bench.main()
+
+        run.perfbench = perfbench
+        run.history = history
+        run.workloads = bench.PERF_WORKLOADS
+        return run
+
+    def test_records_per_workload_keyed_on_cpus(self, harness, tmp_path):
+        assert harness("--record") == 0
+        for workload in harness.workloads:
+            (entry,) = load_entries(harness.history, workload)
+            assert entry["config"]["cpus_available"] == 2
+            assert entry["metrics"] == {"run_s": 2.0, "throughput_per_s": 32.0}
+        report = json.loads((tmp_path / "BENCH_perf.json").read_text())
+        assert validate_report(report) == []
+        assert report["solver_speedup"] == 10.0
+
+    def test_slower_run_s_exits_4(self, harness, capsys):
+        for _ in range(3):
+            assert harness("--record") == 0
+        assert harness("--check") == 0
+        harness.perfbench["run_s"] = 3.6  # 1.8x
+        assert harness("--check") == REGRESSION_EXIT_CODE
+        out = capsys.readouterr().out
+        assert "REGRESSION             run_s" in out
+        assert "PERF REGRESSION" in out
+
+    def test_other_cpu_count_is_not_comparable(self, harness, capsys):
+        for _ in range(3):
+            assert harness("--record") == 0
+        harness.perfbench.update(cpus=1, run_s=3.6)
+        assert harness("--check") == 0
+        assert "INSUFFICIENT-HISTORY" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("failure", [{"returncode": 1}, {"correct": False}])
+    def test_failed_perfbench_run_exits_1(self, harness, failure):
+        harness.perfbench.update(failure)
+        assert harness("--record", "--check") == 1
+        assert not harness.history.exists()
+
+    def test_solver_tier_below_5x_exits_1(self, harness, capsys):
+        harness.perfbench["scalar_s"] = 8.0  # 4x the batched run_s
+        assert harness() == 1
+        assert "below the 5x acceptance floor" in capsys.readouterr().out
+
+
+def test_committed_perf_history_arms_the_gate():
+    """The committed perfbench history holds at least three comparable
+    entries per workload at some CPU count, so ``--check`` gates there."""
+    bench = _load_bench_harness()
+    for workload in bench.PERF_WORKLOADS:
+        entries = load_entries(REPO_ROOT / "benchmarks" / "history", workload)
+        per_cpus = {}
+        for entry in entries:
+            cpus = entry["config"]["cpus_available"]
+            per_cpus[cpus] = per_cpus.get(cpus, 0) + 1
+        assert max(per_cpus.values(), default=0) >= 3, (workload, per_cpus)
 
 
 # -- sampling profiler -------------------------------------------------------------------

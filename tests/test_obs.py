@@ -556,8 +556,8 @@ class TestServiceSurface:
             with urllib.request.urlopen(url, timeout=30) as response:
                 return response.headers.get("Content-Type"), response.read().decode()
 
-        with ExperimentServer(cache_dir=cache_dir, workers=1) as server:
-            client = ExperimentClient(server.url, timeout_s=30.0)
+        with ExperimentServer(cache_dir=cache_dir, workers=1) as server, \
+                ExperimentClient(server.url, timeout_s=30.0) as client:
             spec = tmp_path / "spec.json"
             # A campaign spec: its compute exercises the circuit solver,
             # so the solver counters must surface in /v1/metrics too.
@@ -582,8 +582,8 @@ class TestServiceSurface:
 
         # Restart against the same cache dir: the sidecar carries the
         # lifetime totals, so the counters keep growing instead of resetting.
-        with ExperimentServer(cache_dir=cache_dir, workers=1) as server:
-            client = ExperimentClient(server.url, timeout_s=30.0)
+        with ExperimentServer(cache_dir=cache_dir, workers=1) as server, \
+                ExperimentClient(server.url, timeout_s=30.0) as client:
             ticket = client.submit(tmp_path / "spec.json")
             assert ticket["cached"]
             health = client.health()
